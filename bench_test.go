@@ -353,9 +353,9 @@ func benchGrid(rows, cols int) *graph.Graph {
 	return b.Build()
 }
 
-func benchPlateausBackend(b *testing.B, backend core.TreeBackend, hier core.HierarchyKind) {
+func benchPlateausBackend(b *testing.B, backend core.TreeBackend) {
 	g := benchGrid(50, 50)
-	planner := core.NewPlateaus(g, core.Options{TreeBackend: backend, Hierarchy: hier})
+	planner := core.NewPlateaus(g, core.Options{TreeBackend: backend})
 	rng := rand.New(rand.NewSource(4))
 	type q struct{ s, t graph.NodeID }
 	queries := make([]q, 16)
@@ -374,11 +374,7 @@ func benchPlateausBackend(b *testing.B, backend core.TreeBackend, hier core.Hier
 	}
 }
 
-func BenchmarkPlateausDijkstra(b *testing.B) {
-	benchPlateausBackend(b, core.TreeDijkstra, core.HierarchyWitness)
-}
-
-func BenchmarkPlateausCH(b *testing.B) { benchPlateausBackend(b, core.TreeCH, core.HierarchyWitness) }
+func BenchmarkPlateausDijkstra(b *testing.B) { benchPlateausBackend(b, core.TreeDijkstra) }
 
 // TestPlateausTreeSweepZeroAlloc pins the PHAST promise at the planner
 // substrate: building both complete trees (upward search + downward
@@ -388,7 +384,7 @@ func TestPlateausTreeSweepZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	g := benchGrid(40, 40)
-	tb := ch.Build(g, g.CopyWeights()).NewTreeBuilder()
+	tb := cch.Build(g, g.CopyWeights()).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, dst := graph.NodeID(0), graph.NodeID(g.NumNodes()-1)
 	build := func() {
@@ -448,7 +444,7 @@ func benchShortGridPair(cols int) (s, t graph.NodeID) {
 func BenchmarkPHASTFullGrid50(b *testing.B) {
 	g := benchGrid(50, 50)
 	w := g.CopyWeights()
-	tb := ch.Build(g, w).NewTreeBuilder()
+	tb := cch.Build(g, w).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, t := benchShortGridPair(50)
 	b.ResetTimer()
@@ -461,7 +457,7 @@ func BenchmarkPHASTFullGrid50(b *testing.B) {
 func BenchmarkRPHASTGrid50(b *testing.B) {
 	g := benchGrid(50, 50)
 	w := g.CopyWeights()
-	h := ch.Build(g, w)
+	h := cch.Build(g, w)
 	tb := h.NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, t := benchShortGridPair(50)
@@ -479,7 +475,7 @@ func BenchmarkRPHASTGrid50(b *testing.B) {
 func BenchmarkRPHASTSelectGrid50(b *testing.B) {
 	g := benchGrid(50, 50)
 	w := g.CopyWeights()
-	h := ch.Build(g, w)
+	h := cch.Build(g, w)
 	tb := h.NewTreeBuilder()
 	s, t := benchShortGridPair(50)
 	targets := rphastTargets(b, g, w, h, s, t)
@@ -506,7 +502,7 @@ func benchMelbourneShortPair(b *testing.B, city *eval.City) (s, t graph.NodeID) 
 func BenchmarkPHASTFullMelbourne(b *testing.B) {
 	study := benchSetup(b)
 	city := study.Cities["Melbourne"]
-	tb := ch.Build(city.Graph, city.Public).NewTreeBuilder()
+	tb := cch.Build(city.Graph, city.Public).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, t := benchMelbourneShortPair(b, city)
 	b.ResetTimer()
@@ -519,7 +515,7 @@ func BenchmarkPHASTFullMelbourne(b *testing.B) {
 func BenchmarkRPHASTMelbourne(b *testing.B) {
 	study := benchSetup(b)
 	city := study.Cities["Melbourne"]
-	h := ch.Build(city.Graph, city.Public)
+	h := cch.Build(city.Graph, city.Public)
 	tb := h.NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	s, t := benchMelbourneShortPair(b, city)
@@ -555,7 +551,7 @@ func BenchmarkPlateausRPHASTShort(b *testing.B) { benchPlateausShort(b, core.Tre
 
 func BenchmarkMicroCHDist(b *testing.B) {
 	g, w := benchCityGraph(b)
-	h := ch.Build(g, w)
+	h := cch.Build(g, w)
 	dst := graph.NodeID(g.NumNodes() - 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -657,7 +653,7 @@ func BenchmarkElimTreeMatrixBound(b *testing.B) {
 	study := benchSetup(b)
 	city := study.Cities["Melbourne"]
 	pre := cch.PreprocessWith(city.Graph, cch.OrderConfig{Kind: cch.OrderFlow})
-	h := pre.CustomizeWith(city.Public, cch.Config{}).(*ch.Runtime)
+	h := pre.CustomizeWith(city.Public, cch.Config{})
 	rng := rand.New(rand.NewSource(7))
 	const k = 16
 	sources := make([]graph.NodeID, k)
@@ -685,42 +681,7 @@ func BenchmarkElimTreeMatrixBound(b *testing.B) {
 	})
 }
 
-// --- Live traffic: CH re-customization vs full rebuild ------------------------
-
-// BenchmarkCHBuildFull is the cost of following a published weight
-// snapshot the pre-refactor way: contract a fresh hierarchy from scratch
-// and derive its tree builder. Compare with BenchmarkCHRecustomize.
-func BenchmarkCHBuildFull(b *testing.B) {
-	study := benchSetup(b)
-	city := study.Cities["Melbourne"]
-	snap := city.Seq.WeightsAt(1) // the first rush-hour publish
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := ch.Build(city.Graph, snap)
-		if h.NewTreeBuilder() == nil {
-			b.Fatal("no tree builder")
-		}
-	}
-}
-
-// BenchmarkCHRecustomize is the live-traffic path: reuse the contraction
-// order and shortcut topology of the serving hierarchy and rebuild only
-// the arc weights for the published snapshot (plus the tree builder
-// repacking, which every swap needs too). The per-op time here, against
-// BenchmarkCHBuildFull, is the measured price of a weight-version swap.
-func BenchmarkCHRecustomize(b *testing.B) {
-	study := benchSetup(b)
-	city := study.Cities["Melbourne"]
-	base := ch.Build(city.Graph, city.Seq.WeightsAt(0))
-	snap := city.Seq.WeightsAt(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := base.Recustomize(snap)
-		if h.NewTreeBuilder() == nil {
-			b.Fatal("no tree builder")
-		}
-	}
-}
+// --- Live traffic: CCH preprocessing vs per-publish customization -----------
 
 // BenchmarkCCHPreprocess is the one-off metric-independent half of the
 // customizable hierarchy: nested-dissection order, chordal fill-in and
@@ -736,12 +697,11 @@ func BenchmarkCCHPreprocess(b *testing.B) {
 	}
 }
 
-// BenchmarkCCHCustomize is the customizable flavor's per-publish path:
+// BenchmarkCCHCustomize is the hierarchy's per-publish path:
 // one triangle-relaxation sweep plus the tree-builder repack — exact for
 // the snapshot whatever it contains, with no re-contraction. Against
-// BenchmarkCHBuildFull this is the measured price of making an arbitrary
-// snapshot exactly servable; against BenchmarkCHRecustomize it is the
-// premium over the witness flavor's (only conditionally exact) swap.
+// BenchmarkCCHPreprocess this is the measured price of a weight-version
+// swap.
 func BenchmarkCCHCustomize(b *testing.B) {
 	study := benchSetup(b)
 	city := study.Cities["Melbourne"]
@@ -844,11 +804,8 @@ func BenchmarkCCHCustomizeFlowOrder(b *testing.B) {
 }
 
 // BenchmarkPlateausCCH is the grid planner benchmark on the customizable
-// hierarchy — the query-time cost of the no-witness-pruning arc surplus,
-// to read against BenchmarkPlateausCH and BenchmarkPlateausDijkstra.
-func BenchmarkPlateausCCH(b *testing.B) {
-	benchPlateausBackend(b, core.TreeCH, core.HierarchyCCH)
-}
+// hierarchy's PHAST trees, to read against BenchmarkPlateausDijkstra.
+func BenchmarkPlateausCCH(b *testing.B) { benchPlateausBackend(b, core.TreeCH) }
 
 // BenchmarkServingCachedQuery measures the engine's versioned result
 // cache at full heat: the same query replayed between publishes is
@@ -1095,7 +1052,7 @@ func BenchmarkSelectionCacheAlternatingPairs(b *testing.B) {
 func BenchmarkSelectionCacheSelectUnion(b *testing.B) {
 	city := benchGridCity(50, 50)
 	w := city.Graph.CopyWeights()
-	tb := ch.Build(city.Graph, w).NewTreeBuilder()
+	tb := cch.Build(city.Graph, w).NewTreeBuilder()
 	targets := benchClusteredNodes(b, city, 16, 700, 500, 1200, 102)
 	sel := tb.Select(targets, nil)
 	b.ReportAllocs()

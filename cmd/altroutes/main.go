@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/backendflag"
 	"repro/internal/citygen"
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -38,37 +39,24 @@ func main() {
 	k := flag.Int("k", core.DefaultK, "routes per approach")
 	withYen := flag.Bool("yen", false, "also run Yen's k-shortest paths baseline")
 	geojsonOut := flag.String("geojson", "", "write all routes as GeoJSON to this file")
-	trees := flag.String("trees", "dijkstra", "tree backend for the choice-routing planners: dijkstra, ch (PHAST), ch-restricted (RPHAST) or ch-auto")
-	hierarchy := flag.String("hierarchy", "witness", "hierarchy flavor behind -trees ch: witness, cch or cch-perfect")
-	order := flag.String("order", "flow", "CCH contraction-order pipeline behind the cch flavors: flow (default: smaller hierarchy, faster publishes; slower one-off order build at startup) or geometric")
-	query := flag.String("query", "elimtree", "point-to-point query engine on the CCH flavors: elimtree (default: heap-free elimination-tree ascents) or bidij (bidirectional upward Dijkstra); distances are bit-identical either way")
+	backend := backendflag.Register(flag.CommandLine, "dijkstra")
 	trafficStep := flag.Int("traffic-step", 0, "rush-hour step of the commercial provider's private weights (0 = the study's base congestion field)")
 	flag.Parse()
 
-	if err := run(*city, *graphPath, *seed, *sCoord, *tCoord, *sNode, *tNode, *k, *withYen, *geojsonOut, *trees, *hierarchy, *order, *query, *trafficStep); err != nil {
+	opts, err := backend.Options()
+	if err == nil {
+		opts.K = *k
+		err = run(*city, *graphPath, *seed, *sCoord, *tCoord, *sNode, *tNode, *withYen, *geojsonOut, opts, *trafficStep)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "altroutes:", err)
 		os.Exit(1)
 	}
 }
 
-func run(city, graphPath string, seed int64, sCoord, tCoord string, sNode, tNode, k int, withYen bool, geojsonOut, trees, hierarchy, order, query string, trafficStep int) error {
-	backend, err := core.ParseTreeBackend(trees)
-	if err != nil {
-		return err
-	}
-	hkind, err := core.ParseHierarchyKind(hierarchy)
-	if err != nil {
-		return err
-	}
-	okind, err := core.ParseOrderKind(order)
-	if err != nil {
-		return err
-	}
-	qeng, err := core.ParseQueryEngine(query)
-	if err != nil {
-		return err
-	}
+func run(city, graphPath string, seed int64, sCoord, tCoord string, sNode, tNode int, withYen bool, geojsonOut string, opts core.Options, trafficStep int) error {
 	var g *graph.Graph
+	var err error
 	if graphPath != "" {
 		g, err = graph.LoadFile(graphPath)
 	} else {
@@ -93,7 +81,6 @@ func run(city, graphPath string, seed int64, sCoord, tCoord string, sNode, tNode
 	}
 	fmt.Printf("Query: %d %v -> %d %v\n\n", s, g.Point(s), t, g.Point(t))
 
-	opts := core.Options{K: k, TreeBackend: backend, Hierarchy: hkind, Order: okind, Query: qeng}
 	// The provider's private metric comes from the deterministic rush-hour
 	// sequence; -traffic-step picks how far into the cycle it plans
 	// (step 0 reproduces the study's static congestion field). Comparing

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/cch"
-	"repro/internal/ch"
 	"repro/internal/citygen"
 	"repro/internal/geo"
 	"repro/internal/graph"
@@ -119,9 +118,7 @@ func measureOrder(g *graph.Graph, kind cch.OrderKind) orderColumn {
 	col.widePct = 100 * float64(wide) / float64(col.pairs)
 
 	h := pre.CustomizeWith(g.CopyWeights(), cch.Config{Perfect: true})
-	if rt, ok := h.(*ch.Runtime); ok {
-		col.inertPct = 100 * float64(rt.InertCount()) / float64(2*col.pairs)
-	}
+	col.inertPct = 100 * float64(h.InertCount()) / float64(2*col.pairs)
 	return col
 }
 

@@ -14,7 +14,8 @@
 // Usage:
 //
 //	demoserver [-addr :8080] [-seed N] [-ratings ratings.json] [-workers N]
-//	           [-trees dijkstra|ch|ch-restricted|ch-auto] [-hierarchy witness|cch|cch-perfect]
+//	           [-trees dijkstra|ch|ch-restricted|ch-auto] [-hierarchy cch|cch-perfect]
+//	           [-order flow|geometric] [-query elimtree|bidij]
 //	           [-traffic-step 30s] [-cache 4096]
 //	           [-metrics] [-ingest] [-verbose]
 //
@@ -33,6 +34,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/backendflag"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/server"
@@ -43,10 +45,7 @@ func main() {
 	seed := flag.Int64("seed", 2022, "city generation seed")
 	ratingsPath := flag.String("ratings", "ratings.json", "file the submitted ratings are stored in (empty disables)")
 	workers := flag.Int("workers", 0, "concurrent planner calls per city (0 = number of CPUs)")
-	trees := flag.String("trees", "ch-auto", "tree backend for the choice-routing planners: dijkstra, ch (PHAST full sweeps), ch-restricted (RPHAST) or ch-auto (default: RPHAST restricted sweeps for short queries, full sweeps otherwise)")
-	hierarchy := flag.String("hierarchy", "cch", "hierarchy flavor behind -trees ch: witness (smallest, exact only under witness-preserving metrics), cch (customizable; default, exact for every published snapshot incl. closures) or cch-perfect (cch plus dominated-arc pruning per publish)")
-	order := flag.String("order", "flow", "CCH contraction-order pipeline: flow (default: inertial-flow separators — smaller hierarchy, faster publishes; slower one-off order build at startup) or geometric (coordinate bisection; faster one-off preprocessing)")
-	query := flag.String("query", "elimtree", "point-to-point query engine on the CCH flavors: elimtree (default: heap-free elimination-tree ascents) or bidij (bidirectional upward Dijkstra); distances are bit-identical either way")
+	backend := backendflag.Register(flag.CommandLine, "ch-auto")
 	trafficStep := flag.Duration("traffic-step", 0, "auto-advance the rush-hour traffic sequence at this interval (0 disables; publishes also arrive via POST /api/publish)")
 	cacheSize := flag.Int("cache", core.DefaultCacheSize, "versioned result-cache capacity of the serving engine (0 disables)")
 	metricsOn := flag.Bool("metrics", true, "serve the Prometheus scrape endpoint on GET /metrics (query/customization latency, cache hit rates, store versions, ingest state)")
@@ -54,31 +53,18 @@ func main() {
 	verbose := flag.Bool("verbose", false, "log a line per /api/routes and /api/matrix request; off by default because a per-query Printf serializes the hot path under load")
 	flag.Parse()
 
-	if err := run(*addr, *seed, *ratingsPath, *workers, *trees, *hierarchy, *order, *query, *trafficStep, *cacheSize, *metricsOn, *ingest, *verbose); err != nil {
+	opts, err := backend.Options()
+	if err == nil {
+		err = run(*addr, *seed, *ratingsPath, *workers, opts, *trafficStep, *cacheSize, *metricsOn, *ingest, *verbose)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "demoserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, seed int64, ratingsPath string, workers int, trees, hierarchy, order, query string, trafficStep time.Duration, cacheSize int, metricsOn, ingest, verbose bool) error {
-	backend, err := core.ParseTreeBackend(trees)
-	if err != nil {
-		return err
-	}
-	hkind, err := core.ParseHierarchyKind(hierarchy)
-	if err != nil {
-		return err
-	}
-	okind, err := core.ParseOrderKind(order)
-	if err != nil {
-		return err
-	}
-	qeng, err := core.ParseQueryEngine(query)
-	if err != nil {
-		return err
-	}
-	opts := core.Options{TreeBackend: backend, Hierarchy: hkind, Order: okind, Query: qeng}
-	fmt.Printf("Generating the three city networks (seed %d, %s trees, %s hierarchy, %s order)...\n", seed, trees, hkind, okind)
+func run(addr string, seed int64, ratingsPath string, workers int, opts core.Options, trafficStep time.Duration, cacheSize int, metricsOn, ingest, verbose bool) error {
+	fmt.Printf("Generating the three city networks (seed %d, %s trees, %s hierarchy, %s order)...\n", seed, opts.TreeBackend, opts.Hierarchy, opts.Order)
 	study, err := eval.NewStudyOpts(seed, opts)
 	if err != nil {
 		return err
@@ -93,7 +79,7 @@ func run(addr string, seed int64, ratingsPath string, workers int, trees, hierar
 		c := study.Cities[name]
 		c.SetEngine(engine)
 		log.Printf("demoserver: %-11s %5d nodes, %5d edges, trees=%s, hierarchy=%s, public weights v%d, traffic weights v%d",
-			name, c.Graph.NumNodes(), c.Graph.NumEdges(), trees, hkind,
+			name, c.Graph.NumNodes(), c.Graph.NumEdges(), opts.TreeBackend, opts.Hierarchy,
 			c.PublicStore.Version(), c.TrafficStore.Version())
 	}
 	if trafficStep > 0 {

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/backendflag"
 	"repro/internal/citygen"
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -36,39 +37,25 @@ func main() {
 	k := flag.Int("k", 16, "number of sampled sources and targets (ignored when -sources/-targets are given)")
 	sourcesArg := flag.String("sources", "", "explicit sources as semicolon-separated lat,lon pairs")
 	targetsArg := flag.String("targets", "", "explicit targets as semicolon-separated lat,lon pairs")
-	trees := flag.String("trees", "ch-restricted", "tree backend: dijkstra, ch (PHAST), ch-restricted (RPHAST) or ch-auto")
-	hierarchy := flag.String("hierarchy", "cch", "hierarchy flavor behind the ch backends: witness, cch or cch-perfect")
-	order := flag.String("order", "flow", "CCH contraction-order pipeline behind the cch flavors: flow (default: smaller hierarchy, faster publishes; slower one-off order build at startup) or geometric")
-	query := flag.String("query", "elimtree", "point-to-point query engine on the CCH flavors: elimtree (default: heap-free elimination-tree ascents, batched per target column in the pairwise baseline) or bidij (bidirectional upward Dijkstra); distances are bit-identical either way")
+	backend := backendflag.Register(flag.CommandLine, "ch-restricted")
 	reps := flag.Int("reps", 5, "warm repetitions timed per configuration")
 	baseline := flag.Bool("baseline", true, "also time the k² point-to-point baseline")
 	printTable := flag.Bool("print", false, "print the full table (minutes; '-' = unreachable)")
 	flag.Parse()
 
-	if err := run(*city, *graphPath, *seed, *k, *sourcesArg, *targetsArg, *trees, *hierarchy, *order, *query, *reps, *baseline, *printTable); err != nil {
+	opts, err := backend.Options()
+	if err == nil {
+		err = run(*city, *graphPath, *seed, *k, *sourcesArg, *targetsArg, opts, *reps, *baseline, *printTable)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "matrix:", err)
 		os.Exit(1)
 	}
 }
 
-func run(city, graphPath string, seed int64, k int, sourcesArg, targetsArg, trees, hierarchy, order, query string, reps int, baseline, printTable bool) error {
-	backend, err := core.ParseTreeBackend(trees)
-	if err != nil {
-		return err
-	}
-	hkind, err := core.ParseHierarchyKind(hierarchy)
-	if err != nil {
-		return err
-	}
-	okind, err := core.ParseOrderKind(order)
-	if err != nil {
-		return err
-	}
-	qeng, err := core.ParseQueryEngine(query)
-	if err != nil {
-		return err
-	}
+func run(city, graphPath string, seed int64, k int, sourcesArg, targetsArg string, opts core.Options, reps int, baseline, printTable bool) error {
 	var g *graph.Graph
+	var err error
 	if graphPath != "" {
 		g, err = graph.LoadFile(graphPath)
 	} else {
@@ -81,7 +68,7 @@ func run(city, graphPath string, seed int64, k int, sourcesArg, targetsArg, tree
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Network: %d nodes, %d edges (%s trees, %s hierarchy, %s order)\n", g.NumNodes(), g.NumEdges(), trees, hkind, okind)
+	fmt.Printf("Network: %d nodes, %d edges (%s trees, %s hierarchy, %s order)\n", g.NumNodes(), g.NumEdges(), opts.TreeBackend, opts.Hierarchy, opts.Order)
 
 	rng := rand.New(rand.NewSource(seed + 1))
 	sources, err := resolveEndpoints(g, sourcesArg, k, rng)
@@ -94,7 +81,7 @@ func run(city, graphPath string, seed int64, k int, sourcesArg, targetsArg, tree
 	}
 
 	buildStart := time.Now()
-	m := core.NewMatrixEngine(g, core.Options{TreeBackend: backend, Hierarchy: hkind, Order: okind, Query: qeng}, core.NewEngine(0))
+	m := core.NewMatrixEngine(g, opts, core.NewEngine(0))
 	var tab core.Table
 	if err := m.MatrixInto(&tab, sources, targets); err != nil {
 		return err

@@ -17,6 +17,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/backendflag"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/simstudy"
@@ -29,41 +30,26 @@ func main() {
 	ablation := flag.Bool("ablation", false, "also print the parameter/refinement ablation table")
 	matrix := flag.Bool("matrix", false, "also print the many-to-many matrix ablation (shared-selection tables vs k\u00b2 point-to-point)")
 	csvOut := flag.String("csv", "", "also write the raw study records to this CSV file")
-	trees := flag.String("trees", "dijkstra", "tree backend for the choice-routing planners: dijkstra, ch (PHAST), ch-restricted (RPHAST) or ch-auto")
-	hierarchy := flag.String("hierarchy", "witness", "hierarchy flavor behind -trees ch: witness or cch (customizable)")
-	order := flag.String("order", "flow", "CCH contraction-order pipeline behind -hierarchy cch: flow (default: smaller hierarchy, faster publishes; slower one-off order build at startup) or geometric")
-	query := flag.String("query", "elimtree", "point-to-point query engine on the CCH flavors: elimtree (default: heap-free elimination-tree ascents) or bidij (bidirectional upward Dijkstra); distances are bit-identical either way")
+	backend := backendflag.Register(flag.CommandLine, "dijkstra")
 	flag.Parse()
 
-	if err := run(*seed, *scale, *table, *ablation, *matrix, *csvOut, *trees, *hierarchy, *order, *query); err != nil {
+	opts, err := backend.Options()
+	if err == nil {
+		err = run(*seed, *scale, *table, *ablation, *matrix, *csvOut, opts)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "userstudy:", err)
 		os.Exit(1)
 	}
 }
 
-func run(seed int64, scale float64, table string, ablation, matrix bool, csvOut, trees, hierarchy, order, query string) error {
+func run(seed int64, scale float64, table string, ablation, matrix bool, csvOut string, opts core.Options) error {
 	if table != "1" && table != "2" && table != "all" {
 		return fmt.Errorf("invalid -table %q (want 1, 2 or all)", table)
 	}
-	backend, err := core.ParseTreeBackend(trees)
-	if err != nil {
-		return err
-	}
-	hkind, err := core.ParseHierarchyKind(hierarchy)
-	if err != nil {
-		return err
-	}
-	okind, err := core.ParseOrderKind(order)
-	if err != nil {
-		return err
-	}
-	qeng, err := core.ParseQueryEngine(query)
-	if err != nil {
-		return err
-	}
 	start := time.Now()
-	fmt.Printf("Generating city networks (seed %d, %s trees, %s hierarchy, %s order)...\n", seed, trees, hkind, okind)
-	study, err := eval.NewStudyOpts(seed, core.Options{TreeBackend: backend, Hierarchy: hkind, Order: okind, Query: qeng})
+	fmt.Printf("Generating city networks (seed %d, %s trees, %s hierarchy, %s order)...\n", seed, opts.TreeBackend, opts.Hierarchy, opts.Order)
+	study, err := eval.NewStudyOpts(seed, opts)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,7 @@
 // Chspeedup demonstrates the §II-B theme of routing-engine optimisations:
-// it preprocesses the Melbourne network into a contraction hierarchy,
-// verifies exactness against plain Dijkstra, measures the point-to-point
-// query speedup, and shows that the elliptically pruned plateau planner
+// it preprocesses the Melbourne network into a customizable contraction
+// hierarchy, verifies exactness against plain Dijkstra, measures the
+// point-to-point query speedup, and shows that the elliptically pruned plateau planner
 // returns exactly the same alternative routes as the full-tree planner
 // while exploring a fraction of the graph — the paper's claim that pruned
 // trees "still yield the same choice routes".
@@ -18,7 +18,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/ch"
+	"repro/internal/cch"
 	"repro/internal/citygen"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -36,8 +36,8 @@ func main() {
 
 	// 1. Contraction hierarchy preprocessing.
 	start := time.Now()
-	h := ch.Build(g, w)
-	fmt.Printf("CH preprocessing: %.1fs, %d shortcuts added (%.1f%% of edges)\n",
+	h := cch.Build(g, w)
+	fmt.Printf("CCH preprocessing + customization: %.1fs, %d shortcuts added (%.1f%% of edges)\n",
 		time.Since(start).Seconds(), h.NumShortcuts(),
 		100*float64(h.NumShortcuts())/float64(g.NumEdges()))
 

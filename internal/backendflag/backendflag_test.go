@@ -1,0 +1,60 @@
+package backendflag
+
+import (
+	"flag"
+	"io"
+	"testing"
+
+	"repro/internal/core"
+)
+
+func parse(t *testing.T, defaultTrees string, args ...string) (core.Options, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	set := Register(fs, defaultTrees)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return set.Options()
+}
+
+// TestDefaults pins the shared defaults: only -trees comes from the
+// command; every command serves cch, flow and elimtree unless told
+// otherwise.
+func TestDefaults(t *testing.T) {
+	for _, trees := range []string{"dijkstra", "ch-restricted", "ch-auto"} {
+		opts, err := parse(t, trees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.TreeBackend.String() != trees || opts.Hierarchy != core.HierarchyCCH ||
+			opts.Order != core.OrderFlow || opts.Query != core.QueryElimTree {
+			t.Fatalf("defaults with -trees %s: %+v", trees, opts)
+		}
+	}
+}
+
+func TestExplicitSpellings(t *testing.T) {
+	opts, err := parse(t, "dijkstra", "-trees", "ch", "-hierarchy", "cch-perfect", "-order", "geometric", "-query", "bidij")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.TreeBackend != core.TreeCH || opts.Hierarchy != core.HierarchyCCHPerfect ||
+		opts.Order != core.OrderGeometric || opts.Query != core.QueryBidij {
+		t.Fatalf("explicit flags parsed to %+v", opts)
+	}
+}
+
+func TestRejectsUnknownSpellings(t *testing.T) {
+	for _, args := range [][]string{
+		{"-trees", "phast"},
+		{"-hierarchy", "witness"},
+		{"-order", "metis"},
+		{"-query", "dijkstra"},
+	} {
+		if _, err := parse(t, "ch-auto", args...); err == nil {
+			t.Errorf("%v: accepted", args)
+		}
+	}
+}

@@ -1,13 +1,12 @@
 // Package cch implements customizable contraction hierarchies (Dibbelt,
 // Strasser, Wagner: "Customizable Contraction Hierarchies"), the
-// metric-independent flavor behind the ch.Hierarchy seam.
+// preprocessing behind every ch.Runtime.
 //
-// The witness flavor (ch.Build) prunes shortcuts against the build-time
-// metric, so its cheap weights-only re-customization is exact only for
-// metrics that preserve the witness structure — heavy road closures or
-// aggressive congestion snapshots can silently degrade its distances to
-// upper bounds. This package removes the metric from preprocessing
-// entirely:
+// Classic witness-pruned contraction drops shortcuts against the
+// build-time metric, so a weights-only re-customization is exact only for
+// metrics that preserve that witness structure — heavy road closures or
+// aggressive congestion snapshots degrade its distances to upper bounds.
+// This package removes the metric from preprocessing entirely:
 //
 //   - Preprocess contracts nodes along a nested-dissection order (order.go)
 //     with *no witness pruning*: contracting v connects all of v's
@@ -95,9 +94,8 @@ type Preprocessed struct {
 }
 
 // Build preprocesses g metric-independently and customizes the result for
-// the given weights — the drop-in counterpart of ch.Build. Keep the
-// returned hierarchy's Customize for following weight snapshots; only the
-// first call pays for contraction.
+// the given weights. Keep the returned hierarchy's Customize for
+// following weight snapshots; only the first call pays for contraction.
 //
 // Preprocessing is shared: because a Preprocessed depends only on the
 // graph (never on weights) and is safe for concurrent Customize calls,
@@ -105,7 +103,7 @@ type Preprocessed struct {
 // common serving shape — several planners (public and private metric) on
 // one city network — therefore contracts each network once, not once per
 // planner.
-func Build(g *graph.Graph, weights []float64) ch.Hierarchy {
+func Build(g *graph.Graph, weights []float64) *ch.Runtime {
 	return PreprocessShared(g).Customize(weights)
 }
 
@@ -114,7 +112,7 @@ func Build(g *graph.Graph, weights []float64) ch.Hierarchy {
 // post-pass. Preprocessings are shared per (graph, order kind): two
 // callers asking for different order pipelines on the same network get
 // distinct (and distinctly memoized) contractions.
-func BuildWith(g *graph.Graph, weights []float64, cfg Config) ch.Hierarchy {
+func BuildWith(g *graph.Graph, weights []float64, cfg Config) *ch.Runtime {
 	return PreprocessSharedWith(g, cfg.Order).CustomizeWith(weights, cfg)
 }
 

@@ -104,7 +104,7 @@ func (p *Preprocessed) acquireBuf(withInert bool) *arcBuf {
 // edge sequences. The result is exact for arbitrary weights — congestion
 // of any magnitude, +Inf closures — and each call is independent, so a
 // serving layer can customize in the background and swap atomically.
-func (p *Preprocessed) Customize(weights []float64) ch.Hierarchy {
+func (p *Preprocessed) Customize(weights []float64) *ch.Runtime {
 	return p.CustomizeWith(weights, Config{})
 }
 
@@ -112,7 +112,7 @@ func (p *Preprocessed) Customize(weights []float64) ch.Hierarchy {
 // control. All configurations produce bit-identical basic arcs; Perfect
 // additionally marks strictly dominated arcs inert (weights and
 // unpacking untouched, so route sets are unchanged too).
-func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy {
+func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) *ch.Runtime {
 	P := len(p.lo)
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -252,7 +252,7 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 	tmpl := p.template
 	p.mu.Unlock()
 	if tmpl == nil {
-		rt := ch.NewRuntime(p.g, Kind, p.rank, p.arcFrom, arcs, nil)
+		rt := ch.NewRuntime(p.g, Kind, p.rank, p.arcFrom, arcs, p.Customize)
 		p.mu.Lock()
 		if p.template == nil {
 			// Cache only the shared adjacency (arcs nilled): the template
@@ -264,7 +264,7 @@ func (p *Preprocessed) CustomizeWith(weights []float64, cfg Config) ch.Hierarchy
 		tmpl = p.template
 		p.mu.Unlock()
 	}
-	rt := tmpl.WithArcsInert(arcs, arcW, inert).WithCustomize(func(w []float64) ch.Hierarchy {
+	rt := tmpl.WithArcsInert(arcs, arcW, inert).WithCustomize(func(w []float64) *ch.Runtime {
 		return p.CustomizeWith(w, cfg)
 	})
 	if !cfg.BidirQuery {

@@ -42,8 +42,8 @@ func TestLevelParallelBitIdentical(t *testing.T) {
 				frac = 0.20 // a 20%-closure snapshot shatters the network
 			}
 			w := perturbedWeights(g, int64(gi*10+round), frac)
-			serial := pre.CustomizeWith(w, Config{Workers: 1}).(*ch.Runtime)
-			par := pre.CustomizeWith(w, Config{Workers: 4}).(*ch.Runtime)
+			serial := pre.CustomizeWith(w, Config{Workers: 1})
+			par := pre.CustomizeWith(w, Config{Workers: 4})
 			sa, pa := serial.Arcs(), par.Arcs()
 			if len(sa) != len(pa) {
 				t.Fatalf("graph %d round %d: arc count %d vs %d", gi, round, len(sa), len(pa))
@@ -67,8 +67,8 @@ func TestPerfectCustomization(t *testing.T) {
 	for gi, g := range []*graph.Graph{gridCity(12, 12), randomCity(33, 200)} {
 		pre := Preprocess(g)
 		w := perturbedWeights(g, int64(100+gi), 0.20)
-		basic := pre.CustomizeWith(w, Config{}).(*ch.Runtime)
-		perfect := pre.CustomizeWith(w, Config{Perfect: true}).(*ch.Runtime)
+		basic := pre.CustomizeWith(w, Config{})
+		perfect := pre.CustomizeWith(w, Config{Perfect: true})
 
 		ba, pa := basic.Arcs(), perfect.Arcs()
 		for i := range ba {
@@ -132,7 +132,7 @@ func TestConcurrentCustomizeDistinctBuffers(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ws[i] = perturbedWeights(g, int64(i), 0.05)
-			hs[i] = pre.CustomizeWith(ws[i], Config{Perfect: i%2 == 0}).(*ch.Runtime)
+			hs[i] = pre.CustomizeWith(ws[i], Config{Perfect: i%2 == 0})
 		}(i)
 	}
 	wg.Wait()
@@ -182,7 +182,7 @@ func TestCustomizeConfigSurvivesRecustomize(t *testing.T) {
 	pre := Preprocess(g)
 	h := pre.CustomizeWith(g.CopyWeights(), Config{Perfect: true})
 	w2 := perturbedWeights(g, 5, 0.10)
-	h2 := h.Customize(w2).(*ch.Runtime)
+	h2 := h.Customize(w2)
 	if h2.InertCount() == 0 {
 		t.Fatalf("re-customization dropped the perfect config")
 	}

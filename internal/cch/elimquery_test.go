@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/ch"
 	"repro/internal/geo"
 	"repro/internal/graph"
 	"repro/internal/sp"
@@ -105,8 +104,8 @@ func TestElimVsBidijBitIdentical(t *testing.T) {
 		pre := Preprocess(g)
 		for round := 0; round < 3; round++ {
 			w := perturbedWeights(g, int64(gi*10+round), 0.10*float64(round))
-			elim := pre.CustomizeWith(w, Config{Perfect: round == 2}).(*ch.Runtime)
-			bidij := pre.CustomizeWith(w, Config{Perfect: round == 2, BidirQuery: true}).(*ch.Runtime)
+			elim := pre.CustomizeWith(w, Config{Perfect: round == 2})
+			bidij := pre.CustomizeWith(w, Config{Perfect: round == 2, BidirQuery: true})
 			if got := elim.QueryStats().Engine; got != "elimtree" {
 				t.Fatalf("default engine %q, want elimtree", got)
 			}
@@ -211,12 +210,12 @@ func TestElimScratchAcrossRecustomize(t *testing.T) {
 	g := randomCity(29, 150)
 	w1 := perturbedWeights(g, 1, 0.05)
 	w2 := perturbedWeights(g, 2, 0.15)
-	h1 := Build(g, w1).(*ch.Runtime)
+	h1 := Build(g, w1)
 	checkDistances(t, g, h1, w1, 10, 21)
 	if h1.QueryStats().Queries == 0 {
 		t.Fatalf("h1 counters did not move")
 	}
-	h2 := h1.Customize(w2).(*ch.Runtime)
+	h2 := h1.Customize(w2)
 	if got := h2.QueryStats().Queries; got != 0 {
 		t.Fatalf("re-customized runtime inherited %d queries", got)
 	}
@@ -247,8 +246,8 @@ func TestAscentDistsMatchesDist(t *testing.T) {
 	g := randomCity(37, 180)
 	w := perturbedWeights(g, 3, 0.10)
 	pre := Preprocess(g)
-	elim := pre.CustomizeWith(w, Config{}).(*ch.Runtime)
-	bidij := pre.CustomizeWith(w, Config{BidirQuery: true}).(*ch.Runtime)
+	elim := pre.CustomizeWith(w, Config{})
+	bidij := pre.CustomizeWith(w, Config{BidirQuery: true})
 
 	rng := rand.New(rand.NewSource(41))
 	sources := make([]graph.NodeID, 12)

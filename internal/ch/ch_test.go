@@ -1,10 +1,11 @@
-package ch
+package ch_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/cch"
 	"repro/internal/geo"
 	"repro/internal/graph"
 	"repro/internal/sp"
@@ -63,7 +64,7 @@ func randomCity(seed int64, n int) *graph.Graph {
 func TestDistMatchesDijkstraGrid(t *testing.T) {
 	g := gridCity(12, 12)
 	w := g.CopyWeights()
-	h := Build(g, w)
+	h := cch.Build(g, w)
 	rng := rand.New(rand.NewSource(1))
 	for q := 0; q < 60; q++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -80,7 +81,7 @@ func TestDistMatchesDijkstraRandomDirected(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomCity(seed, 150)
 		w := g.CopyWeights()
-		h := Build(g, w)
+		h := cch.Build(g, w)
 		rng := rand.New(rand.NewSource(seed + 50))
 		for q := 0; q < 40; q++ {
 			s := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -101,7 +102,7 @@ func TestDistMatchesDijkstraRandomDirected(t *testing.T) {
 func TestPathUnpacksToValidRoute(t *testing.T) {
 	g := gridCity(10, 10)
 	w := g.CopyWeights()
-	h := Build(g, w)
+	h := cch.Build(g, w)
 	rng := rand.New(rand.NewSource(3))
 	for q := 0; q < 40; q++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -149,7 +150,7 @@ func TestUnreachable(t *testing.T) {
 	b.AddEdge(graph.EdgeSpec{From: n0, To: n1, Class: graph.Residential, TwoWay: true})
 	b.AddEdge(graph.EdgeSpec{From: n2, To: n3, Class: graph.Residential, TwoWay: true})
 	g := b.Build()
-	h := Build(g, g.CopyWeights())
+	h := cch.Build(g, g.CopyWeights())
 	if d := h.Dist(n0, n3); !math.IsInf(d, 1) {
 		t.Errorf("unreachable dist = %f, want +Inf", d)
 	}
@@ -171,7 +172,7 @@ func TestOneWayRespected(t *testing.T) {
 	b.AddEdge(graph.EdgeSpec{From: n2, To: n0, Class: graph.Residential})
 	g := b.Build()
 	w := g.CopyWeights()
-	h := Build(g, w)
+	h := cch.Build(g, w)
 	if d := h.Dist(n0, n1); math.Abs(d-w[0]) > 1e-9 {
 		t.Errorf("forward dist = %f, want %f", d, w[0])
 	}
@@ -180,9 +181,12 @@ func TestOneWayRespected(t *testing.T) {
 	}
 }
 
+// TestShortcutAccounting: on a grid no lower triangle beats a single
+// block, so every arc backed by a road edge keeps it and exactly the
+// fill-in arcs count as shortcuts.
 func TestShortcutAccounting(t *testing.T) {
 	g := gridCity(10, 10)
-	h := Build(g, g.CopyWeights())
+	h := cch.Build(g, g.CopyWeights())
 	if h.NumArcs() < g.NumEdges() {
 		t.Errorf("arcs %d < original edges %d", h.NumArcs(), g.NumEdges())
 	}
@@ -204,7 +208,7 @@ func TestQuerySettlesFewerNodesThanDijkstra(t *testing.T) {
 	}
 	g := gridCity(40, 40)
 	w := g.CopyWeights()
-	h := Build(g, w)
+	h := cch.Build(g, w)
 	rng := rand.New(rand.NewSource(9))
 	queries := make([][2]graph.NodeID, 200)
 	for i := range queries {
@@ -227,14 +231,14 @@ func BenchmarkBuildGrid20(b *testing.B) {
 	w := g.CopyWeights()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(g, w)
+		cch.Preprocess(g).Customize(w)
 	}
 }
 
 func BenchmarkQueryCHGrid40(b *testing.B) {
 	g := gridCity(40, 40)
 	w := g.CopyWeights()
-	h := Build(g, w)
+	h := cch.Build(g, w)
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

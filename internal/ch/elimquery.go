@@ -15,8 +15,8 @@ import (
 // (elimtree.go), so a point-to-point query needs no heap, no decrease-key
 // and no stopping criterion — it walks the two root paths in ascending
 // rank, relaxing upward arcs, and the answer is the best meeting label.
-// The witness flavor has no elimination tree (its search spaces are not
-// path-shaped), so it keeps the bidirectional search of query.go.
+// Runtimes built without an elimination tree (cch.Config.BidirQuery)
+// keep the bidirectional search of query.go.
 //
 // Both engines compute every label as the same minimum over the same
 // float sums, so their distances are bit-identical — the backend-matrix

@@ -1,10 +1,12 @@
-package ch
+package ch_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/cch"
+	"repro/internal/ch"
 	"repro/internal/graph"
 	"repro/internal/sp"
 )
@@ -85,7 +87,23 @@ func checkTreeEquivalence(t *testing.T, g *graph.Graph, weights []float64, got, 
 	}
 }
 
-func checkBothTrees(t *testing.T, g *graph.Graph, weights []float64, tb *TreeBuilder, root graph.NodeID) {
+// treeConfigs are the customizations the tree-equivalence tests sweep:
+// the basic one, and the perfect one whose inert arcs the packed sweeps
+// skip — so the skipped arcs are checked against Dijkstra too.
+var treeConfigs = []cch.Config{{}, {Perfect: true}}
+
+// forEachConfig runs fn once per treeConfigs entry as a named subtest.
+func forEachConfig(t *testing.T, fn func(t *testing.T, cfg cch.Config)) {
+	for _, cfg := range treeConfigs {
+		name := "basic"
+		if cfg.Perfect {
+			name = "perfect"
+		}
+		t.Run(name, func(t *testing.T) { fn(t, cfg) })
+	}
+}
+
+func checkBothTrees(t *testing.T, g *graph.Graph, weights []float64, tb *ch.TreeBuilder, root graph.NodeID) {
 	t.Helper()
 	for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
 		got := tb.BuildTree(root, dir)
@@ -95,43 +113,53 @@ func checkBothTrees(t *testing.T, g *graph.Graph, weights []float64, tb *TreeBui
 }
 
 func TestTreeBuilderMatchesDijkstraGrid(t *testing.T) {
-	g := gridCity(12, 12)
-	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
-	rng := rand.New(rand.NewSource(11))
-	for q := 0; q < 12; q++ {
-		checkBothTrees(t, g, w, tb, graph.NodeID(rng.Intn(g.NumNodes())))
-	}
+	forEachConfig(t, func(t *testing.T, cfg cch.Config) {
+		g := gridCity(12, 12)
+		w := g.CopyWeights()
+		h := cch.BuildWith(g, w, cfg)
+		if cfg.Perfect && h.InertCount() == 0 {
+			t.Fatal("perfect customization marked no arc inert; the sweeps skip nothing")
+		}
+		tb := h.NewTreeBuilder()
+		rng := rand.New(rand.NewSource(11))
+		for q := 0; q < 12; q++ {
+			checkBothTrees(t, g, w, tb, graph.NodeID(rng.Intn(g.NumNodes())))
+		}
+	})
 }
 
 func TestTreeBuilderMatchesDijkstraRandomDirected(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		g := randomCity(seed, 150)
-		w := g.CopyWeights()
-		tb := Build(g, w).NewTreeBuilder()
-		rng := rand.New(rand.NewSource(seed + 77))
-		for q := 0; q < 8; q++ {
-			checkBothTrees(t, g, w, tb, graph.NodeID(rng.Intn(g.NumNodes())))
+	forEachConfig(t, func(t *testing.T, cfg cch.Config) {
+		for seed := int64(0); seed < 5; seed++ {
+			g := randomCity(seed, 150)
+			w := g.CopyWeights()
+			tb := cch.BuildWith(g, w, cfg).NewTreeBuilder()
+			rng := rand.New(rand.NewSource(seed + 77))
+			for q := 0; q < 8; q++ {
+				checkBothTrees(t, g, w, tb, graph.NodeID(rng.Intn(g.NumNodes())))
+			}
 		}
-	}
+	})
 }
 
 // TestTreeBuilderBannedEdges pins the +Inf ban semantics: a hierarchy
 // built on weights with banned edges must produce trees that never cross
 // them, matching Dijkstra's reachability exactly.
 func TestTreeBuilderBannedEdges(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		g := randomCity(seed+20, 120)
-		w := g.CopyWeights()
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < g.NumEdges()/5; i++ {
-			w[rng.Intn(g.NumEdges())] = math.Inf(1)
+	forEachConfig(t, func(t *testing.T, cfg cch.Config) {
+		for seed := int64(0); seed < 3; seed++ {
+			g := randomCity(seed+20, 120)
+			w := g.CopyWeights()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < g.NumEdges()/5; i++ {
+				w[rng.Intn(g.NumEdges())] = math.Inf(1)
+			}
+			tb := cch.BuildWith(g, w, cfg).NewTreeBuilder()
+			for q := 0; q < 6; q++ {
+				checkBothTrees(t, g, w, tb, graph.NodeID(rng.Intn(g.NumNodes())))
+			}
 		}
-		tb := Build(g, w).NewTreeBuilder()
-		for q := 0; q < 6; q++ {
-			checkBothTrees(t, g, w, tb, graph.NodeID(rng.Intn(g.NumNodes())))
-		}
-	}
+	})
 }
 
 // TestTreeBuilderZeroAlloc asserts the headline PHAST property: with a
@@ -142,7 +170,7 @@ func TestTreeBuilderZeroAlloc(t *testing.T) {
 	}
 	g := gridCity(20, 20)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
+	tb := cch.Build(g, w).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	root := graph.NodeID(g.NumNodes() / 2)
 	for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
@@ -154,12 +182,12 @@ func TestTreeBuilderZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTreeBuilderConcurrent drives one shared TreeBuilder from many
+// TestTreeBuilderConcurrent drives one shared ch.TreeBuilder from many
 // goroutines (as core.Engine does); run with -race to verify immutability.
 func TestTreeBuilderConcurrent(t *testing.T) {
 	g := gridCity(10, 10)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
+	tb := cch.Build(g, w).NewTreeBuilder()
 	done := make(chan error, 4)
 	for i := 0; i < 4; i++ {
 		go func(seed int64) {
@@ -192,7 +220,7 @@ func (errRoot) Error() string { return "root distance nonzero" }
 func BenchmarkTreePHASTGrid40(b *testing.B) {
 	g := gridCity(40, 40)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
+	tb := cch.Build(g, w).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

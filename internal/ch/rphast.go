@@ -26,9 +26,9 @@ import (
 // node (same distances, same parent edges) and report every other node
 // unreached, which is precisely the contract of an elliptically pruned
 // tree (sp.BuildPrunedTree): as long as the target set covers the query's
-// ellipse, the plateau join yields the same choice routes. Both hierarchy
-// flavors get this for free — the TreeBuilder is compiled from the
-// ch.Hierarchy seam, so witness and cch runtimes share one implementation.
+// ellipse, the plateau join yields the same choice routes. Every
+// customization gets this for free: the TreeBuilder is compiled from the
+// Runtime, whichever customization pass (basic or perfect) produced it.
 
 // Selection is the reusable restricted-sweep state for one target set. It
 // is immutable after Select returns and safe for concurrent restricted

@@ -1,10 +1,12 @@
-package ch
+package ch_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/cch"
+	"repro/internal/ch"
 	"repro/internal/graph"
 	"repro/internal/sp"
 )
@@ -15,8 +17,9 @@ import (
 // node of the shortest path is itself selected.
 
 // checkRestrictedAgainstFull verifies restricted trees for one target set
-// against full builds from the same builder.
-func checkRestrictedAgainstFull(t *testing.T, g *graph.Graph, tb *TreeBuilder, targets []graph.NodeID, root graph.NodeID) {
+// against full builds from the same builder, and target distances against
+// Dijkstra under w.
+func checkRestrictedAgainstFull(t *testing.T, g *graph.Graph, w []float64, tb *ch.TreeBuilder, targets []graph.NodeID, root graph.NodeID) {
 	t.Helper()
 	sel := tb.Select(targets, nil)
 	isTarget := make(map[graph.NodeID]bool, len(targets))
@@ -25,12 +28,16 @@ func checkRestrictedAgainstFull(t *testing.T, g *graph.Graph, tb *TreeBuilder, t
 	}
 	for _, dir := range []sp.Direction{sp.Forward, sp.Backward} {
 		full := tb.BuildTree(root, dir)
+		want := sp.BuildTree(g, w, root, dir)
 		wsR := sp.NewWorkspace()
 		got := tb.BuildTreeRestrictedInto(wsR, root, dir, sel)
 		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 			if isTarget[v] {
 				if !distEqual(got.Dist[v], full.Dist[v]) {
 					t.Fatalf("dir %d target %d: restricted dist %v, full %v", dir, v, got.Dist[v], full.Dist[v])
+				}
+				if !distEqual(got.Dist[v], want.Dist[v]) {
+					t.Fatalf("dir %d target %d: restricted dist %v, dijkstra %v", dir, v, got.Dist[v], want.Dist[v])
 				}
 				if got.Reached(v) && v != root && got.Parent[v] != full.Parent[v] {
 					t.Fatalf("dir %d target %d: restricted parent %d, full %d", dir, v, got.Parent[v], full.Parent[v])
@@ -48,56 +55,62 @@ func checkRestrictedAgainstFull(t *testing.T, g *graph.Graph, tb *TreeBuilder, t
 }
 
 func TestRestrictedTreeMatchesFullOnTargetsGrid(t *testing.T) {
-	g := gridCity(12, 12)
-	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
-	rng := rand.New(rand.NewSource(3))
-	for q := 0; q < 8; q++ {
-		root := graph.NodeID(rng.Intn(g.NumNodes()))
-		targets := []graph.NodeID{root}
-		for len(targets) < 24 {
-			targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
+	forEachConfig(t, func(t *testing.T, cfg cch.Config) {
+		g := gridCity(12, 12)
+		w := g.CopyWeights()
+		tb := cch.BuildWith(g, w, cfg).NewTreeBuilder()
+		rng := rand.New(rand.NewSource(3))
+		for q := 0; q < 8; q++ {
+			root := graph.NodeID(rng.Intn(g.NumNodes()))
+			targets := []graph.NodeID{root}
+			for len(targets) < 24 {
+				targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
+			}
+			checkRestrictedAgainstFull(t, g, w, tb, targets, root)
 		}
-		checkRestrictedAgainstFull(t, g, tb, targets, root)
-	}
+	})
 }
 
 func TestRestrictedTreeMatchesFullOnTargetsRandomDirected(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		g := randomCity(seed+40, 150)
-		w := g.CopyWeights()
-		tb := Build(g, w).NewTreeBuilder()
-		rng := rand.New(rand.NewSource(seed))
-		for q := 0; q < 5; q++ {
-			root := graph.NodeID(rng.Intn(g.NumNodes()))
-			targets := []graph.NodeID{root}
-			for len(targets) < 30 {
-				targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
+	forEachConfig(t, func(t *testing.T, cfg cch.Config) {
+		for seed := int64(0); seed < 4; seed++ {
+			g := randomCity(seed+40, 150)
+			w := g.CopyWeights()
+			tb := cch.BuildWith(g, w, cfg).NewTreeBuilder()
+			rng := rand.New(rand.NewSource(seed))
+			for q := 0; q < 5; q++ {
+				root := graph.NodeID(rng.Intn(g.NumNodes()))
+				targets := []graph.NodeID{root}
+				for len(targets) < 30 {
+					targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
+				}
+				checkRestrictedAgainstFull(t, g, w, tb, targets, root)
 			}
-			checkRestrictedAgainstFull(t, g, tb, targets, root)
 		}
-	}
+	})
 }
 
 // TestRestrictedTreeBannedEdges pins the +Inf semantics: banned arcs are
 // dropped from the restricted subgraph entirely, and target distances
 // still match the full build (unreachable stays unreachable).
 func TestRestrictedTreeBannedEdges(t *testing.T) {
-	g := randomCity(9, 120)
-	w := g.CopyWeights()
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < g.NumEdges()/5; i++ {
-		w[rng.Intn(g.NumEdges())] = math.Inf(1)
-	}
-	tb := Build(g, w).NewTreeBuilder()
-	for q := 0; q < 6; q++ {
-		root := graph.NodeID(rng.Intn(g.NumNodes()))
-		targets := []graph.NodeID{root}
-		for len(targets) < 25 {
-			targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
+	forEachConfig(t, func(t *testing.T, cfg cch.Config) {
+		g := randomCity(9, 120)
+		w := g.CopyWeights()
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < g.NumEdges()/5; i++ {
+			w[rng.Intn(g.NumEdges())] = math.Inf(1)
 		}
-		checkRestrictedAgainstFull(t, g, tb, targets, root)
-	}
+		tb := cch.BuildWith(g, w, cfg).NewTreeBuilder()
+		for q := 0; q < 6; q++ {
+			root := graph.NodeID(rng.Intn(g.NumNodes()))
+			targets := []graph.NodeID{root}
+			for len(targets) < 25 {
+				targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
+			}
+			checkRestrictedAgainstFull(t, g, w, tb, targets, root)
+		}
+	})
 }
 
 // TestSelectionReusedAcrossRoots is the RPHAST amortization: one
@@ -106,7 +119,7 @@ func TestRestrictedTreeBannedEdges(t *testing.T) {
 func TestSelectionReusedAcrossRoots(t *testing.T) {
 	g := gridCity(10, 10)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
+	tb := cch.Build(g, w).NewTreeBuilder()
 	all := make([]graph.NodeID, g.NumNodes())
 	for v := range all {
 		all[v] = graph.NodeID(v)
@@ -130,22 +143,22 @@ func TestSelectionReusedAcrossRoots(t *testing.T) {
 func TestSelectionReuseRebuild(t *testing.T) {
 	g := gridCity(8, 8)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
+	tb := cch.Build(g, w).NewTreeBuilder()
 	sel := tb.Select([]graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}, nil)
 	sel = tb.Select([]graph.NodeID{10, 20, 30, 0, 63}, sel)
 	if sel.Targets() != 5 {
 		t.Fatalf("reused selection reports %d targets, want 5", sel.Targets())
 	}
-	checkRestrictedAgainstFull(t, g, tb, []graph.NodeID{10, 20, 30, 0, 63}, 0)
+	checkRestrictedAgainstFull(t, g, w, tb, []graph.NodeID{10, 20, 30, 0, 63}, 0)
 }
 
 // TestStaleSelectionPanics pins the misuse guard: a selection must not
-// survive into a different TreeBuilder (the stale-selection-after-
+// survive into a different ch.TreeBuilder (the stale-selection-after-
 // customize bug class this PR's serving layer must never hit).
 func TestStaleSelectionPanics(t *testing.T) {
 	g := gridCity(6, 6)
 	w := g.CopyWeights()
-	h := Build(g, w)
+	h := cch.Build(g, w)
 	tb1 := h.NewTreeBuilder()
 	tb2 := h.Customize(w).NewTreeBuilder()
 	sel := tb1.Select([]graph.NodeID{0, 1, 2}, nil)
@@ -167,7 +180,7 @@ func TestRestrictedZeroAlloc(t *testing.T) {
 	}
 	g := gridCity(20, 20)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
+	tb := cch.Build(g, w).NewTreeBuilder()
 	ws := sp.NewWorkspace()
 	rng := rand.New(rand.NewSource(2))
 	targets := make([]graph.NodeID, 0, 80)
@@ -197,7 +210,7 @@ func TestRestrictedZeroAlloc(t *testing.T) {
 func TestSelectionCoverage(t *testing.T) {
 	g := gridCity(10, 10)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
+	tb := cch.Build(g, w).NewTreeBuilder()
 	targets := []graph.NodeID{3, 17, 42, 99}
 	sel := tb.Select(targets, nil)
 	if !sel.Covers(targets) {
@@ -228,7 +241,7 @@ func TestSelectionCoverage(t *testing.T) {
 func TestSelectUnionMatchesFlattenedSelect(t *testing.T) {
 	g := randomCity(77, 150)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
+	tb := cch.Build(g, w).NewTreeBuilder()
 	groups := [][]graph.NodeID{{1, 2, 3}, {3, 4, 5, 60}, {90, 91, 2}}
 	var flat []graph.NodeID
 	for _, gr := range groups {
@@ -267,7 +280,7 @@ func TestSelectUnionMatchesFlattenedSelect(t *testing.T) {
 func TestSelectionMemoryBytes(t *testing.T) {
 	g := gridCity(12, 12)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
+	tb := cch.Build(g, w).NewTreeBuilder()
 	small := tb.Select([]graph.NodeID{0, 1}, nil)
 	all := make([]graph.NodeID, g.NumNodes())
 	for v := range all {
@@ -288,7 +301,7 @@ func TestSelectionMemoryBytes(t *testing.T) {
 func TestRestrictedConcurrent(t *testing.T) {
 	g := gridCity(10, 10)
 	w := g.CopyWeights()
-	tb := Build(g, w).NewTreeBuilder()
+	tb := cch.Build(g, w).NewTreeBuilder()
 	all := make([]graph.NodeID, g.NumNodes())
 	for v := range all {
 		all[v] = graph.NodeID(v)

@@ -1,63 +1,26 @@
+// Package ch implements the query side of contraction hierarchies
+// (Geisberger et al.), the classic routing-engine speedup technique. §II-B
+// of the paper discusses how plateau-based alternative routing must stay
+// compatible with such optimisations ("many routing engines compute only a
+// subset of the source or destination tree"); this package provides the
+// optimisation itself: over a contraction order and its shortcut arcs,
+// point-to-point queries run as upward searches that settle a tiny
+// fraction of the graph, returning exact shortest paths that unpack to
+// original edge sequences, and PHAST/RPHAST sweeps derive whole trees.
+//
+// Preprocessing lives in repro/internal/cch: customizable contraction
+// hierarchies (Dibbelt, Strasser & Wagner) contract metric-independently
+// on a nested-dissection order and customize by triangle relaxation,
+// which is exact for any weight vector, +Inf closures included. That
+// package compiles every customization to the Runtime defined here, which
+// the queries, the PHAST TreeBuilder and the serving layer consume.
 package ch
 
 import "repro/internal/graph"
 
-// Hierarchy is the seam between hierarchy *flavors* and hierarchy
-// *consumers*. Everything downstream of preprocessing — the bidirectional
-// point-to-point query, the PHAST tree builder, core's double-buffered
-// weight-version provider — consumes this interface and never a concrete
-// contraction algorithm, so the serving stack can swap how the hierarchy
-// was built without touching a single consumer:
-//
-//   - ch.Build contracts with bounded witness searches (the classic
-//     Geisberger et al. scheme): smallest arc count, and Customize
-//     (weights-only re-customization) is exact only for metrics that
-//     preserve the build-time witness structure.
-//   - cch.Build (package repro/internal/cch) contracts metric-independently
-//     on a nested-dissection order with no witness pruning (the
-//     customizable-CH scheme of Dibbelt et al.): more arcs, but Customize
-//     runs a triangle relaxation that is exact for *any* weight vector,
-//     including +Inf closures.
-//
-// Implementations are immutable after construction and safe for
-// concurrent queries.
-type Hierarchy interface {
-	// Graph returns the road network the hierarchy was built over.
-	Graph() *graph.Graph
-	// Kind names the flavor ("witness" or "cch") for logging and ablation
-	// tables.
-	Kind() string
-	// Rank returns the contraction order (higher rank = more important).
-	// The returned slice aliases internal storage and must not be modified.
-	Rank() []int32
-	// Dist returns the exact-under-this-flavor's-contract shortest travel
-	// time from s to t (+Inf if unreachable).
-	Dist(s, t graph.NodeID) float64
-	// Path returns the shortest s-t path as original graph edges plus its
-	// travel time, unpacking shortcuts.
-	Path(s, t graph.NodeID) ([]graph.EdgeID, float64)
-	// NewTreeBuilder derives the PHAST one-to-all tree builder.
-	NewTreeBuilder() *TreeBuilder
-	// Customize returns a hierarchy over the same contraction order and
-	// topology with arc weights rebuilt for the given vector — the cheap
-	// live-traffic path (no re-contraction). The witness flavor sums
-	// frozen shortcut constituents (exact only under witness-preserving
-	// metrics, always a ban-respecting upper bound); the CCH flavor runs
-	// the triangle relaxation (exact for any metric). The receiver is not
-	// modified.
-	Customize(weights []float64) Hierarchy
-	// NumArcs returns the arc count (original edges + shortcuts), a
-	// preprocessing size measure.
-	NumArcs() int
-	// NumShortcuts returns the number of arcs not backed by a single
-	// original edge.
-	NumShortcuts() int
-}
-
 // Arc is one directed edge of a hierarchy runtime: either an original road
-// edge or a shortcut replacing two lower arcs. Exported so external
-// preprocessors (package cch) can assemble runtimes; consumers never see
-// it through the Hierarchy seam.
+// edge or a shortcut replacing two lower arcs. Exported so the
+// preprocessor (package cch) can assemble runtimes.
 type Arc struct {
 	To     graph.NodeID
 	Weight float64
@@ -70,12 +33,12 @@ type Arc struct {
 	Skip1, Skip2 int32
 }
 
-// Runtime is the packed representation both hierarchy flavors compile to:
-// the contraction order, the arc array with its unpacking table
+// Runtime is the packed representation a customized hierarchy compiles
+// to: the contraction order, the arc array with its unpacking table
 // (Orig/Skip1/Skip2), and the upward forward/backward adjacency the
 // queries and the tree builder walk. It is immutable after construction
-// and implements Hierarchy; flavors differ only in who built the arcs and
-// in the customize hook a metric swap dispatches to.
+// and safe for concurrent queries; a metric swap goes through the
+// customize hook of the preprocessing that built it.
 type Runtime struct {
 	g    *graph.Graph
 	kind string
@@ -109,23 +72,25 @@ type Runtime struct {
 	// is therefore never strictly dominated itself). Indexed like arcs;
 	// nil means no arc is inert.
 	inert []bool
-	// customize, when non-nil, handles Customize calls (the CCH triangle
-	// relaxation); nil dispatches to the witness-flavor Recustomize.
-	customize func([]float64) Hierarchy
+	// customize handles Customize calls (the CCH triangle relaxation).
+	customize func([]float64) *Runtime
 	// elim, when non-nil, switches Dist/Path to the elimination-tree
 	// engine (elimquery.go). Only sound on hierarchies whose upward
-	// neighborhoods are cliques — package cch attaches it, the witness
-	// flavor never does. elimStats is allocated alongside it.
+	// neighborhoods are cliques — package cch attaches it unless asked
+	// for the bidirectional search. elimStats is allocated alongside it.
 	elim      *ElimTree
 	elimStats *elimCounters
 }
 
 // NewRuntime assembles a hierarchy runtime from externally built arcs:
 // rank is the contraction order (a permutation), from[i] the tail of
-// arcs[i], and customize the flavor's metric-swap hook (nil selects the
-// witness-style constituent-sum Recustomize). The adjacency split is
-// derived here; the input slices are owned by the runtime afterwards.
-func NewRuntime(g *graph.Graph, kind string, rank []int32, from []graph.NodeID, arcs []Arc, customize func([]float64) Hierarchy) *Runtime {
+// arcs[i], and customize the required metric-swap hook behind Customize.
+// The adjacency split is derived here; the input slices are owned by the
+// runtime afterwards.
+func NewRuntime(g *graph.Graph, kind string, rank []int32, from []graph.NodeID, arcs []Arc, customize func([]float64) *Runtime) *Runtime {
+	if customize == nil {
+		panic("ch: NewRuntime needs a customize hook")
+	}
 	n := g.NumNodes()
 	h := &Runtime{
 		g:         g,
@@ -210,7 +175,7 @@ func (h *Runtime) WithArcs(arcs []Arc) *Runtime {
 // customize hook — how package cch tells a basic-customized runtime apart
 // from a perfect-customized one (each re-customizes through the pass that
 // produced it).
-func (h *Runtime) WithCustomize(fn func([]float64) Hierarchy) *Runtime {
+func (h *Runtime) WithCustomize(fn func([]float64) *Runtime) *Runtime {
 	rt := *h
 	rt.customize = fn
 	return &rt
@@ -239,9 +204,9 @@ func (h *Runtime) WithArcsInert(arcs []Arc, arcW []float64, inert []bool) *Runti
 // elimination-tree engine over et (nil restores the bidirectional
 // search). The caller vouches that et is the elimination tree of this
 // runtime's topology and that upward neighborhoods are cliques — package
-// cch's chordal supergraph satisfies this by construction; a witness
-// hierarchy does not. Counters start fresh: each customized runtime
-// reports its own query telemetry, like a selection cache does.
+// cch's chordal supergraph satisfies this by construction. Counters start
+// fresh: each customized runtime reports its own query telemetry, like a
+// selection cache does.
 func (h *Runtime) WithElimTree(et *ElimTree) *Runtime {
 	rt := *h
 	rt.elim = et
@@ -260,7 +225,7 @@ func (h *Runtime) Arcs() []Arc { return h.arcs }
 
 // InertCount returns how many arcs the runtime's customization marked
 // inert (strictly dominated; skipped by queries and sweeps). Zero for
-// basic customizations and the witness flavor.
+// basic customizations.
 func (h *Runtime) InertCount() int {
 	count := 0
 	for _, in := range h.inert {
@@ -271,20 +236,19 @@ func (h *Runtime) InertCount() int {
 	return count
 }
 
-// Graph implements Hierarchy.
+// Graph returns the road network the hierarchy was built over.
 func (h *Runtime) Graph() *graph.Graph { return h.g }
 
-// Kind implements Hierarchy.
+// Kind names the preprocessing that built the runtime, for logging and
+// status reports.
 func (h *Runtime) Kind() string { return h.kind }
 
-// Rank implements Hierarchy.
+// Rank returns the contraction order (higher rank = more important). The
+// slice aliases internal storage and must not be modified.
 func (h *Runtime) Rank() []int32 { return h.rank }
 
-// Customize implements Hierarchy: the CCH flavor dispatches to its
-// triangle relaxation, the witness flavor to Recustomize.
-func (h *Runtime) Customize(weights []float64) Hierarchy {
-	if h.customize != nil {
-		return h.customize(weights)
-	}
-	return h.Recustomize(weights)
-}
+// Customize returns a runtime over the same contraction order and
+// topology with arc weights rebuilt for the given vector — the cheap
+// live-traffic path (no re-contraction), dispatched to the hook the
+// runtime was built with. The receiver is not modified.
+func (h *Runtime) Customize(weights []float64) *Runtime { return h.customize(weights) }

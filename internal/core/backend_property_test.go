@@ -15,13 +15,9 @@ import (
 // smoke test notices. So the matrix is pinned property-style: on seeded
 // random tie-free networks (continuous random speeds make shortest-path
 // ties measure-zero, so route sets are forced) under randomized ±50%
-// traffic plus +Inf closure snapshots, every tree backend × hierarchy
-// flavor must return byte-identical route sets for the study planners.
-//
-// Hierarchies are contracted fresh at the pinned snapshot, so the witness
-// flavor is exact here too (its inexactness arises only when *customizing*
-// across snapshots, which TestRestrictedSelectionInvalidatedOnPublish and
-// the cch package's regression tests cover).
+// traffic plus +Inf closure snapshots, every tree backend × customization
+// × order × query engine must return byte-identical route sets for the
+// study planners.
 
 // closureSnapshot publishes a ±50% perturbation of the base weights plus
 // ~3% random +Inf closures and returns the pinned snapshot.
@@ -53,21 +49,18 @@ func TestBackendMatrix(t *testing.T) {
 		order   OrderKind
 		query   QueryEngine
 	}
-	// The CCH flavors run on both contraction-order pipelines — the flow
-	// order produces a different (smaller) hierarchy, and its routes must
-	// still be byte-identical to the Dijkstra baseline. Witness rows have
-	// no order dimension (theirs is metric-driven). CCH rows default to
-	// the elimination-tree query engine; the restricted backend — whose
+	// Both customizations run on both contraction-order pipelines — the
+	// flow order produces a different (smaller) hierarchy, and its routes
+	// must still be byte-identical to the Dijkstra baseline. Rows default
+	// to the elimination-tree query engine; the restricted backend — whose
 	// selection bounds come straight from hier.Dist — additionally runs
 	// bidij rows, pinning byte-identical routes across both engines on
-	// both flavors and both orders.
+	// both customizations and both orders.
 	configs := []config{
-		{"ch/witness", TreeCH, HierarchyWitness, OrderGeometric, QueryElimTree},
 		{"ch/cch", TreeCH, HierarchyCCH, OrderGeometric, QueryElimTree},
 		{"ch/cch-perfect", TreeCH, HierarchyCCHPerfect, OrderGeometric, QueryElimTree},
 		{"ch/cch/flow", TreeCH, HierarchyCCH, OrderFlow, QueryElimTree},
 		{"ch/cch-perfect/flow", TreeCH, HierarchyCCHPerfect, OrderFlow, QueryElimTree},
-		{"ch-restricted/witness", TreeCHRestricted, HierarchyWitness, OrderGeometric, QueryElimTree},
 		{"ch-restricted/cch", TreeCHRestricted, HierarchyCCH, OrderGeometric, QueryElimTree},
 		{"ch-restricted/cch-perfect", TreeCHRestricted, HierarchyCCHPerfect, OrderGeometric, QueryElimTree},
 		{"ch-restricted/cch/flow", TreeCHRestricted, HierarchyCCH, OrderFlow, QueryElimTree},
@@ -76,7 +69,6 @@ func TestBackendMatrix(t *testing.T) {
 		{"ch-restricted/cch-perfect/bidij", TreeCHRestricted, HierarchyCCHPerfect, OrderGeometric, QueryBidij},
 		{"ch-restricted/cch/flow/bidij", TreeCHRestricted, HierarchyCCH, OrderFlow, QueryBidij},
 		{"ch-restricted/cch-perfect/flow/bidij", TreeCHRestricted, HierarchyCCHPerfect, OrderFlow, QueryBidij},
-		{"ch-auto/witness", TreeCHAuto, HierarchyWitness, OrderGeometric, QueryElimTree},
 		{"ch-auto/cch", TreeCHAuto, HierarchyCCH, OrderGeometric, QueryElimTree},
 		{"ch-auto/cch-perfect", TreeCHAuto, HierarchyCCHPerfect, OrderGeometric, QueryElimTree},
 		{"ch-auto/cch/flow", TreeCHAuto, HierarchyCCH, OrderFlow, QueryElimTree},
@@ -99,7 +91,7 @@ func TestBackendMatrix(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g := randomRoadNetwork(seed+500, 140)
 		snap := closureSnapshot(g, seed+900)
-		baseline := mk(g, snap, config{backend: TreeDijkstra, hkind: HierarchyWitness})
+		baseline := mk(g, snap, config{backend: TreeDijkstra})
 		for _, cfg := range configs {
 			other := mk(g, snap, cfg)
 			for i := range baseline {
@@ -122,7 +114,7 @@ func TestBackendMatrixObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := pl.HierarchyStatus()
-	if st.Kind != "witness" {
+	if st.Kind != "cch" {
 		t.Fatalf("restricted backend reports hierarchy %q", st.Kind)
 	}
 	if !st.LastRestricted || st.LastSelection <= 0 || st.LastSelection > g.NumNodes() {

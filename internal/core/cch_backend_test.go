@@ -13,8 +13,8 @@ import (
 
 // The CCH half of the tree-backend claim: planners on the customizable
 // hierarchy return byte-identical route sets to the Dijkstra backend on
-// tie-free networks — and, unlike the witness flavor, keep doing so for
-// *any* published snapshot, including heavy closures.
+// tie-free networks — and keep doing so for *any* published snapshot,
+// including heavy closures.
 
 func TestPlateausCCHMatchesDijkstraBackend(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
@@ -66,29 +66,30 @@ func TestCCHServingExactUnderClosures(t *testing.T) {
 }
 
 // TestHierarchyStatusReporting covers the observability seam the server
-// logs per query: flavor names and customization latencies per planner.
+// logs per query: hierarchy kind, order and customization latency per
+// planner. The zero Options on a CH backend serve the CCH hierarchy.
 func TestHierarchyStatusReporting(t *testing.T) {
 	g := testCity(t)
-	wit := NewPlateaus(g, Options{TreeBackend: TreeCH})
-	cchP := NewPrunedPlateaus(g, Options{TreeBackend: TreeCH, Hierarchy: HierarchyCCH})
+	def := NewPlateaus(g, Options{TreeBackend: TreeCH})
+	perfect := NewPrunedPlateaus(g, Options{TreeBackend: TreeCH, Hierarchy: HierarchyCCHPerfect, Order: OrderFlow})
 	dij := NewPlateaus(g, Options{})
 
-	if st := wit.HierarchyStatus(); st.Kind != "witness" || st.LastCustomize <= 0 {
-		t.Fatalf("witness status = %+v, want kind witness with positive latency", st)
+	if st := def.HierarchyStatus(); st.Kind != "cch" || st.Order != "geometric" || st.LastCustomize <= 0 {
+		t.Fatalf("default status = %+v, want kind cch, geometric order, positive latency", st)
 	}
-	if st := cchP.HierarchyStatus(); st.Kind != "cch" || st.LastCustomize <= 0 {
-		t.Fatalf("cch status = %+v, want kind cch with positive latency", st)
+	if st := perfect.HierarchyStatus(); st.Kind != "cch" || st.Order != "flow" || st.LastCustomize <= 0 {
+		t.Fatalf("cch-perfect status = %+v, want kind cch, flow order, positive latency", st)
 	}
-	if st := dij.HierarchyStatus(); st.Kind != "" || st.LastCustomize != 0 {
+	if st := dij.HierarchyStatus(); st.Kind != "" || st.Order != "" || st.LastCustomize != 0 {
 		t.Fatalf("dijkstra-backend status = %+v, want zero", st)
 	}
 
-	router := NewRouter(nil, []Planner{wit, cchP, dij, NewPenalty(g, Options{})})
+	router := NewRouter(nil, []Planner{def, perfect, dij, NewPenalty(g, Options{})})
 	sts := router.HierarchyStatuses()
 	if len(sts) != 4 {
 		t.Fatalf("HierarchyStatuses length %d, want 4", len(sts))
 	}
-	if sts[0].Kind != "witness" || sts[1].Kind != "cch" || sts[2].Kind != "" || sts[3].Kind != "" {
+	if sts[0].Kind != "cch" || sts[1].Kind != "cch" || sts[2].Kind != "" || sts[3].Kind != "" {
 		t.Fatalf("statuses = %+v", sts)
 	}
 }

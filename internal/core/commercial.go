@@ -96,7 +96,7 @@ func (c *Commercial) servingVersion() weights.Version { return c.prov.servingVer
 
 func (c *Commercial) weightsSource() weights.Source { return c.prov.src }
 
-// HierarchyStatus reports the hierarchy flavor serving this planner and
+// HierarchyStatus reports the hierarchy serving this planner and
 // its last customization latency (zero off the TreeCH backend).
 func (c *Commercial) HierarchyStatus() HierarchyStatus { return c.prov.hierarchyStatus() }
 

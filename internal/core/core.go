@@ -96,37 +96,35 @@ type Options struct {
 	// family trades a one-off preprocessing at planner construction for
 	// much cheaper queries.
 	TreeBackend TreeBackend
-	// Hierarchy selects the contraction-hierarchy flavor behind the CH
-	// backends: HierarchyWitness (the default) contracts with witness
-	// pruning — smallest hierarchy, weights-only customization exact only
-	// under witness-preserving metrics — while HierarchyCCH contracts
+	// Hierarchy selects the customization behind the CH backends'
+	// customizable contraction hierarchy, which contracts
 	// metric-independently on a nested-dissection order and customizes by
 	// triangle relaxation, staying exact for every published snapshot
-	// including +Inf closures. HierarchyCCHPerfect adds the perfect-
-	// customization post-pass on every publish. Ignored on TreeDijkstra.
+	// including +Inf closures. HierarchyCCH (the default) runs the basic
+	// customization; HierarchyCCHPerfect adds the perfect-customization
+	// post-pass on every publish. Ignored on TreeDijkstra.
 	Hierarchy HierarchyKind
 	// Order selects the nested-dissection pipeline behind the CCH
-	// hierarchy flavors: OrderGeometric (the default) bisects on
+	// hierarchy: OrderGeometric (the default) bisects on
 	// coordinates with a greedy vertex-cover separator; OrderFlow refines
 	// every split with an inertial-flow minimum vertex cut — smaller
 	// separators, fewer triangles, measurably faster customization on
 	// every publish, at the cost of a slower one-off preprocessing.
-	// Preprocessings are shared per (graph, order kind). Ignored off the
-	// CCH flavors.
+	// Preprocessings are shared per (graph, order kind). Ignored on
+	// TreeDijkstra.
 	Order OrderKind
 	// Query selects the point-to-point distance engine on the CCH
-	// hierarchy flavors: QueryElimTree (the default) answers Dist/Path —
+	// hierarchy: QueryElimTree (the default) answers Dist/Path —
 	// including the fastest-time bound seeding every restricted selection
 	// — by walking the elimination-tree root paths heap-free; QueryBidij
 	// keeps the bidirectional upward Dijkstra. Distances are
-	// bit-identical either way. Ignored by HierarchyWitness and the
-	// Dijkstra backend.
+	// bit-identical either way. Ignored on TreeDijkstra.
 	Query QueryEngine
 	// CustomizeWorkers bounds the per-level worker fan-out of CCH
 	// customization (the triangle relaxation behind every CCH publish).
 	// 0 selects GOMAXPROCS; 1 forces the serial sweep. Any value yields
 	// bit-identical hierarchies — it is purely a publish-latency knob.
-	// Ignored off the CCH hierarchy flavors.
+	// Ignored on TreeDijkstra.
 	CustomizeWorkers int
 	// SelectionCacheBytes is the total byte budget of the restricted
 	// backends' selection cache (per planner, per weight version): cached

@@ -442,9 +442,11 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 		next  func(rng *rand.Rand, banned []graph.EdgeID) []float64
 		ban   bool
 	}{
-		// Uniform scaling: witness re-customization is exact for it, and a
-		// stale selection object would hit the builder-mismatch panic.
-		{"witness-uniform", HierarchyWitness, func(_ *rand.Rand, _ []graph.EdgeID) []float64 {
+		// Uniform scaling leaves the elliptic target set unchanged (the
+		// fastest time and the seconds-per-meter bound scale together), so
+		// only the builder-mismatch panic would catch a stale selection
+		// object carried across the customization.
+		{"cch-uniform", HierarchyCCH, func(_ *rand.Rand, _ []graph.EdgeID) []float64 {
 			next := make([]float64, len(g.BaseWeights()))
 			for i, w := range g.BaseWeights() {
 				next[i] = 1.7 * w

@@ -60,9 +60,9 @@ type MatrixEngine struct {
 }
 
 // NewMatrixEngine builds a standalone matrix engine over g. Options are
-// interpreted as for NewPlateaus (weights source, tree backend, hierarchy
-// flavor, selection-cache budget); eng bounds the sweep fan-out and may
-// be nil for unbounded inline execution.
+// interpreted as for NewPlateaus (weights source, tree backend,
+// hierarchy customization, selection-cache budget); eng bounds the sweep
+// fan-out and may be nil for unbounded inline execution.
 func NewMatrixEngine(g *graph.Graph, opts Options, eng *Engine) *MatrixEngine {
 	opts = opts.withDefaults()
 	return &MatrixEngine{
@@ -208,16 +208,6 @@ func (m *MatrixEngine) MatrixInto(tab *Table, sources, targets []graph.NodeID) e
 	return err
 }
 
-// elimAscender is the capability a hierarchy exposes when it can batch
-// point-to-point distance bounds: one backward elimination-tree ascent of
-// the target shared across forward ascents of every source. The CCH
-// runtimes implement it (ch.Runtime.AscentDists); it reports false when
-// the elimination-tree engine is disabled, in which case callers fall
-// back to per-pair Dist.
-type elimAscender interface {
-	AscentDists(sources []graph.NodeID, t graph.NodeID, out []float64) bool
-}
-
 // MatrixPairwise fills tab with len(sources) × len(targets) independent
 // point-to-point tree-pair queries through the planner's own tree source
 // — the k² baseline the matrix engine amortizes away. Exposed for the
@@ -233,12 +223,8 @@ func (m *MatrixEngine) MatrixPairwise(tab *Table, sources, targets []graph.NodeI
 	if err != nil {
 		return err
 	}
-	if rt, ok := unwrapTrees(v.trees).(*restrictedTrees); ok {
-		if asc, ok := rt.hier.(elimAscender); ok {
-			if m.pairwiseBatchedBounds(tab, rt, asc) {
-				return nil
-			}
-		}
+	if rt, ok := unwrapTrees(v.trees).(*restrictedTrees); ok && m.pairwiseBatchedBounds(tab, rt) {
+		return nil
 	}
 	ws := sp.GetWorkspace()
 	defer ws.Release()
@@ -265,15 +251,16 @@ func (m *MatrixEngine) MatrixPairwise(tab *Table, sources, targets []graph.NodeI
 // for each target, one multi-source elimination-tree ascent yields every
 // source's fastest-time bound, and each cell is then filled by the same
 // bounded tree-pair build the per-pair path would have run. Reports false
-// when the ascender declines (it does so before any cell is written: the
-// capability is constant per runtime), so the caller can fall back.
-func (m *MatrixEngine) pairwiseBatchedBounds(tab *Table, rt *restrictedTrees, asc elimAscender) bool {
+// when the runtime declines the batched ascent (the bidirectional engine
+// does so before any cell is written: the capability is constant per
+// runtime), so the caller can fall back.
+func (m *MatrixEngine) pairwiseBatchedBounds(tab *Table, rt *restrictedTrees) bool {
 	bounds := make([]float64, len(tab.Sources))
 	ws := sp.GetWorkspace()
 	defer ws.Release()
 	inf := math.Inf(1)
 	for j, t := range tab.Targets {
-		if !asc.AscentDists(tab.Sources, t, bounds) {
+		if !rt.hier.AscentDists(tab.Sources, t, bounds) {
 			return false
 		}
 		for i, s := range tab.Sources {

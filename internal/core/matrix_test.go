@@ -110,9 +110,8 @@ func TestMatrixExactness(t *testing.T) {
 	// come out byte-identical either way (the bounds only gate selection;
 	// cells come from the sweeps).
 	configs := []config{
-		{"dijkstra", TreeDijkstra, HierarchyWitness, QueryElimTree},
-		{"ch/witness", TreeCH, HierarchyWitness, QueryElimTree},
-		{"ch-restricted/witness", TreeCHRestricted, HierarchyWitness, QueryElimTree},
+		{"dijkstra", TreeDijkstra, HierarchyCCH, QueryElimTree},
+		{"ch/cch", TreeCH, HierarchyCCH, QueryElimTree},
 		{"ch-restricted/cch", TreeCHRestricted, HierarchyCCH, QueryElimTree},
 		{"ch-restricted/cch/bidij", TreeCHRestricted, HierarchyCCH, QueryBidij},
 		{"ch-restricted/cch-perfect", TreeCHRestricted, HierarchyCCHPerfect, QueryElimTree},

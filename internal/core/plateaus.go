@@ -68,7 +68,7 @@ func (p *Plateaus) servingVersion() weights.Version { return p.prov.servingVersi
 
 func (p *Plateaus) weightsSource() weights.Source { return p.prov.src }
 
-// HierarchyStatus reports the hierarchy flavor serving this planner and
+// HierarchyStatus reports the hierarchy serving this planner and
 // its last customization latency (zero off the TreeCH backend).
 func (p *Plateaus) HierarchyStatus() HierarchyStatus { return p.prov.hierarchyStatus() }
 

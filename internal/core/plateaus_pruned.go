@@ -51,7 +51,7 @@ func (p *PrunedPlateaus) servingVersion() weights.Version { return p.inner.servi
 
 func (p *PrunedPlateaus) weightsSource() weights.Source { return p.inner.weightsSource() }
 
-// HierarchyStatus reports the hierarchy flavor serving this planner and
+// HierarchyStatus reports the hierarchy serving this planner and
 // its last customization latency (zero off the TreeCH backend).
 func (p *PrunedPlateaus) HierarchyStatus() HierarchyStatus { return p.inner.HierarchyStatus() }
 

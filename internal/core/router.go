@@ -262,7 +262,7 @@ type hierarchyReporter interface {
 	HierarchyStatus() HierarchyStatus
 }
 
-// HierarchyStatuses reports, per planner, the hierarchy flavor currently
+// HierarchyStatuses reports, per planner, the hierarchy kind currently
 // answering and its most recent customization latency (zero-value entries
 // for planners without a hierarchy backend) — the second observability
 // hook behind the demo server's per-query log line.

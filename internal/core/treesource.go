@@ -90,23 +90,18 @@ func (b TreeBackend) usesHierarchy() bool {
 	return b == TreeCH || b == TreeCHRestricted || b == TreeCHAuto
 }
 
-// HierarchyKind selects which contraction-hierarchy flavor backs the
-// TreeCH tree backend — both implement the ch.Hierarchy seam, so every
-// consumer downstream of preprocessing is identical.
+// HierarchyKind selects how the customizable contraction hierarchy behind
+// the CH tree backends is customized on every publish. Both kinds compile
+// to the same ch.Runtime, so every consumer downstream of preprocessing is
+// identical.
 type HierarchyKind uint8
 
 const (
-	// HierarchyWitness is the classic witness-pruned contraction
-	// (ch.Build): smallest hierarchy, but its cheap weights-only
-	// customization is exact only under metrics that preserve the
-	// build-time witness structure — heavy closures can degrade it to
-	// upper bounds.
-	HierarchyWitness HierarchyKind = iota
-	// HierarchyCCH is the customizable flavor (cch.Build):
-	// metric-independent contraction on a nested-dissection order with no
-	// witness pruning, customized by triangle relaxation — exact for any
-	// published snapshot, including +Inf closures.
-	HierarchyCCH
+	// HierarchyCCH (the default) is the customizable hierarchy
+	// (cch.Build): metric-independent contraction on a nested-dissection
+	// order with no witness pruning, customized by triangle relaxation —
+	// exact for any published snapshot, including +Inf closures.
+	HierarchyCCH HierarchyKind = iota
 	// HierarchyCCHPerfect is HierarchyCCH with the perfect-customization
 	// post-pass: each publish additionally proves which shortcut arcs are
 	// strictly dominated under the snapshot's metric and marks them
@@ -115,38 +110,32 @@ const (
 	HierarchyCCHPerfect
 )
 
-// ParseHierarchyKind maps the shared command-line flag spelling
-// ("witness", "cch" or "cch-perfect") onto a HierarchyKind.
+// ParseHierarchyKind maps the shared command-line flag spelling ("cch"
+// or "cch-perfect") onto a HierarchyKind.
 func ParseHierarchyKind(s string) (HierarchyKind, error) {
 	switch s {
-	case "witness":
-		return HierarchyWitness, nil
 	case "cch":
 		return HierarchyCCH, nil
 	case "cch-perfect":
 		return HierarchyCCHPerfect, nil
 	}
-	return 0, fmt.Errorf("core: invalid hierarchy kind %q (want witness, cch or cch-perfect)", s)
+	return 0, fmt.Errorf("core: invalid hierarchy kind %q (want cch or cch-perfect)", s)
 }
 
 // String implements fmt.Stringer.
 func (k HierarchyKind) String() string {
-	switch k {
-	case HierarchyCCH:
-		return "cch"
-	case HierarchyCCHPerfect:
+	if k == HierarchyCCHPerfect {
 		return "cch-perfect"
 	}
-	return "witness"
+	return "cch"
 }
 
 // OrderKind selects the nested-dissection separator pipeline behind the
-// CCH hierarchy flavors — the cch package's type re-exported so command
-// wiring needs only one spelling. OrderGeometric is the coordinate-
-// bisection baseline; OrderFlow refines every split with an inertial-flow
-// minimum vertex cut (smaller separators, fewer triangles, faster
-// customization; slower one-off preprocessing). Ignored by
-// HierarchyWitness and the Dijkstra backend.
+// CCH hierarchy — the cch package's type re-exported so command wiring
+// needs only one spelling. OrderGeometric is the coordinate-bisection
+// baseline; OrderFlow refines every split with an inertial-flow minimum
+// vertex cut (smaller separators, fewer triangles, faster customization;
+// slower one-off preprocessing). Ignored by the Dijkstra backend.
 type OrderKind = cch.OrderKind
 
 const (
@@ -159,10 +148,9 @@ const (
 func ParseOrderKind(s string) (OrderKind, error) { return cch.ParseOrderKind(s) }
 
 // QueryEngine selects the point-to-point distance engine behind the CCH
-// hierarchy flavors' Dist/Path — the searches that seed every restricted
+// hierarchy's Dist/Path — the searches that seed every restricted
 // selection's elliptic bound and the matrix baseline. Both engines return
-// bit-identical distances; the witness flavor ignores the knob (its
-// search spaces are not path-shaped, so it always runs bidirectional).
+// bit-identical distances.
 type QueryEngine uint8
 
 const (
@@ -196,15 +184,14 @@ func (q QueryEngine) String() string {
 }
 
 // HierarchyStatus is the serving-layer observability record of one
-// planner's hierarchy backend: which flavor answers queries right now,
+// planner's hierarchy backend: which hierarchy answers queries right now,
 // how long the most recent (re)customization took, and — for restricted-
 // sweep backends — the most recent query's selection size and tree-pair
 // sweep time. Zero for planners not running on a hierarchy.
 type HierarchyStatus struct {
 	Kind string
 	// Order is the contraction-order pipeline ("geometric" or "flow")
-	// behind a CCH-flavored hierarchy; empty for witness hierarchies,
-	// whose order is metric-driven.
+	// behind the hierarchy; empty off hierarchy backends.
 	Order         string
 	LastCustomize time.Duration
 	// LastSelection is the elliptic target-set size of the most recent
@@ -330,7 +317,7 @@ type selectionStats struct {
 // selection ever crossed over.
 type restrictedTrees struct {
 	g          *graph.Graph
-	hier       ch.Hierarchy
+	hier       *ch.Runtime
 	tb         *ch.TreeBuilder
 	lb         geo.LowerBounder
 	scale      float64 // admissible seconds-per-meter lower bound; 0 disables selection
@@ -354,7 +341,7 @@ type selBuf struct {
 	targets []graph.NodeID
 }
 
-func newRestrictedTrees(g *graph.Graph, hier ch.Hierarchy, tb *ch.TreeBuilder, weights []float64, upperBound float64, auto bool, stats *selectionStats, grid *spatial.Index, cacheBytes int) *restrictedTrees {
+func newRestrictedTrees(g *graph.Graph, hier *ch.Runtime, tb *ch.TreeBuilder, weights []float64, upperBound float64, auto bool, stats *selectionStats, grid *spatial.Index, cacheBytes int) *restrictedTrees {
 	if stats == nil {
 		stats = &selectionStats{}
 	}
@@ -379,8 +366,8 @@ func newRestrictedTrees(g *graph.Graph, hier ch.Hierarchy, tb *ch.TreeBuilder, w
 }
 
 func (r *restrictedTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool) {
-	// On the CCH flavors hier.Dist is the heap-free elimination-tree
-	// ascent, so a selection-cache hit no longer pays a priority-queue
+	// With the default query engine hier.Dist is the heap-free
+	// elimination-tree ascent, so a selection-cache hit no longer pays a priority-queue
 	// search for its elliptic bound.
 	return r.buildTreesBounded(ws, s, t, r.hier.Dist(s, t))
 }

@@ -126,3 +126,20 @@ func TestEngineDrivesCHAndPrunedPlanners(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestParseHierarchyKind pins the accepted -hierarchy spellings: the zero
+// value is cch, and the deleted witness flavor is rejected.
+func TestParseHierarchyKind(t *testing.T) {
+	for _, s := range []string{"cch", "cch-perfect"} {
+		k, err := ParseHierarchyKind(s)
+		if err != nil || k.String() != s {
+			t.Fatalf("ParseHierarchyKind(%q) = %v, %v", s, k, err)
+		}
+	}
+	if HierarchyKind(0) != HierarchyCCH {
+		t.Fatal("the zero HierarchyKind is not cch")
+	}
+	if _, err := ParseHierarchyKind("witness"); err == nil {
+		t.Fatal(`ParseHierarchyKind("witness") accepted the deleted flavor`)
+	}
+}

@@ -68,10 +68,9 @@ type view struct {
 	snap  *weights.Snapshot
 	trees TreeSource
 	// hier is kept for the TreeCH backend so the next version can be
-	// customized — a weights-only rebuild through the ch.Hierarchy seam
-	// (witness constituent sums or CCH triangle relaxation, whichever
-	// flavor is installed) — instead of contracted from scratch.
-	hier ch.Hierarchy
+	// customized — a weights-only triangle relaxation on the frozen
+	// contraction — instead of contracted from scratch.
+	hier *ch.Runtime
 	// pruned is the undecorated elliptic source (when the backend uses
 	// one), kept so the next version can share its minimum-speed scan.
 	pruned *prunedTrees
@@ -87,10 +86,10 @@ type provider struct {
 	g       *graph.Graph
 	src     weights.Source
 	backend TreeBackend
-	hkind   HierarchyKind // which hierarchy flavor backs the CH backends
-	// order selects the nested-dissection pipeline of a CCH contraction
+	hkind   HierarchyKind // basic or perfect customization behind the CH backends
+	// order selects the nested-dissection pipeline of the CCH contraction
 	// (geometric or flow-refined separators). Baked into the shared
-	// preprocessing at first build; ignored by the witness flavor.
+	// preprocessing at first build.
 	order OrderKind
 	// query selects the CCH point-to-point engine (elimination-tree
 	// ascents by default). Carried into the hierarchy's customize hook,
@@ -212,7 +211,7 @@ func (p *provider) servingVersion() weights.Version {
 	return 0
 }
 
-// hierarchyStatus reports the serving hierarchy flavor and the latency of
+// hierarchyStatus reports the serving hierarchy kind and the latency of
 // the most recent (re)customization; zero when the backend runs no
 // hierarchy.
 func (p *provider) hierarchyStatus() HierarchyStatus {
@@ -238,11 +237,7 @@ func (p *provider) hierarchyStatus() HierarchyStatus {
 		qs = ch.QueryStats{}
 		v = p.cur.Load()
 		if v != nil && v.hier != nil {
-			// Query-engine telemetry is a capability of the runtime, not
-			// part of the Hierarchy seam: flavors without it report nothing.
-			if qr, ok := v.hier.(interface{ QueryStats() ch.QueryStats }); ok {
-				qs = qr.QueryStats()
-			}
+			qs = v.hier.QueryStats()
 		}
 		if p.accGen.Load() == g1 {
 			break
@@ -250,9 +245,7 @@ func (p *provider) hierarchyStatus() HierarchyStatus {
 	}
 	if v != nil && v.hier != nil {
 		st.Kind = v.hier.Kind()
-		if p.hkind == HierarchyCCH || p.hkind == HierarchyCCHPerfect {
-			st.Order = p.order.String()
-		}
+		st.Order = p.order.String()
 	}
 	st.LastQueryEngine = qs.Engine
 	st.ElimQueries = accQ + qs.Queries
@@ -308,12 +301,10 @@ func (p *provider) rebuildTo(snap *weights.Snapshot) *view {
 func (p *provider) installView(v, old *view) {
 	p.accGen.Add(1)
 	if old != nil && old.hier != nil {
-		if qr, ok := old.hier.(interface{ QueryStats() ch.QueryStats }); ok {
-			qs := qr.QueryStats()
-			p.accQueries.Add(qs.Queries)
-			p.accTruncated.Add(qs.Truncated)
-			p.accAscentNodes.Add(qs.AscentNodes)
-		}
+		qs := old.hier.QueryStats()
+		p.accQueries.Add(qs.Queries)
+		p.accTruncated.Add(qs.Truncated)
+		p.accAscentNodes.Add(qs.AscentNodes)
 	}
 	p.cur.Store(v)
 	p.accGen.Add(1)
@@ -340,10 +331,9 @@ func (p *provider) refreshSync() {
 }
 
 // buildView constructs the per-version state. For TreeCH, prev's
-// hierarchy (when available) is customized through the ch.Hierarchy seam
-// — a weights-only pass on the frozen contraction, constituent sums for
-// the witness flavor, the always-exact triangle relaxation for CCH —
-// instead of contracting from scratch. For the elliptic backend, prev's
+// hierarchy (when available) is customized — the always-exact triangle
+// relaxation on the frozen contraction — instead of contracting from
+// scratch. For the elliptic backend, prev's
 // minimum-speed scan is shared when the snapshot's delta proves it still
 // valid.
 func (p *provider) buildView(snap *weights.Snapshot, prev *view) *view {
@@ -355,20 +345,17 @@ func (p *provider) buildView(snap *weights.Snapshot, prev *view) *view {
 	switch {
 	case p.backend.usesHierarchy():
 		start := time.Now()
-		switch {
-		case prev != nil && prev.hier != nil:
+		if prev != nil && prev.hier != nil {
 			// The customize hook closes over the original Config, so the
 			// perfect/worker choices survive every re-customization.
 			v.hier = prev.hier.Customize(w)
-		case p.hkind == HierarchyCCH || p.hkind == HierarchyCCHPerfect:
+		} else {
 			v.hier = cch.BuildWith(p.g, w, cch.Config{
 				Order:      cch.OrderConfig{Kind: p.order},
 				Workers:    p.customizeWorkers,
 				Perfect:    p.hkind == HierarchyCCHPerfect,
 				BidirQuery: p.query == QueryBidij,
 			})
-		default:
-			v.hier = ch.Build(p.g, w)
 		}
 		tb := v.hier.NewTreeBuilder()
 		if p.backend == TreeCH {

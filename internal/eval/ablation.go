@@ -52,11 +52,8 @@ func DefaultAblationConfigs(c *City) []AblationConfig {
 		{"Plateaus UB 1.2", func() core.Planner { return core.NewPlateaus(g, core.Options{UpperBound: 1.2}) }},
 		{"Plateaus + sim cutoff 0.6", func() core.Planner { return core.NewPlateaus(g, core.Options{SimilarityCutoff: 0.6}) }},
 		{"Plateaus pruned trees (§II-B)", func() core.Planner { return core.NewPrunedPlateaus(g, core.Options{}) }},
-		{"Plateaus CH trees (PHAST)", func() core.Planner {
-			return core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCH})
-		}},
 		{"Plateaus CCH trees (customizable)", func() core.Planner {
-			return core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCH, Hierarchy: core.HierarchyCCH})
+			return core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCH})
 		}},
 		{"Plateaus RPHAST trees (§II-B)", func() core.Planner {
 			return core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCHRestricted})
@@ -68,11 +65,8 @@ func DefaultAblationConfigs(c *City) []AblationConfig {
 		{"GMaps full trees", func() core.Planner {
 			return core.NewCommercial(g, c.Traffic, core.Options{DisablePrunedTrees: true})
 		}},
-		{"GMaps CH trees (PHAST)", func() core.Planner {
-			return core.NewCommercial(g, c.Traffic, core.Options{TreeBackend: core.TreeCH})
-		}},
 		{"GMaps CCH trees (customizable)", func() core.Planner {
-			return core.NewCommercial(g, c.Traffic, core.Options{TreeBackend: core.TreeCH, Hierarchy: core.HierarchyCCH})
+			return core.NewCommercial(g, c.Traffic, core.Options{TreeBackend: core.TreeCH})
 		}},
 		{"GMaps RPHAST trees (restricted)", func() core.Planner {
 			return core.NewCommercial(g, c.Traffic, core.Options{TreeBackend: core.TreeCHRestricted})

@@ -74,13 +74,6 @@ type City struct {
 // defaultEngine serves Cities assembled without NewCity.
 var defaultEngine = core.NewEngine(0)
 
-func (c *City) engine() *core.Engine {
-	if c.Router != nil {
-		return c.Router.Engine()
-	}
-	return defaultEngine
-}
-
 // SetEngine installs a shared engine (a multi-city deployment pools its
 // workers this way) while keeping the Router's publish subscriptions.
 // The matrix engine follows, so its sweep fan-out draws from the same
@@ -216,29 +209,23 @@ type RouteSets struct {
 }
 
 // RunPlanners answers q with all four approaches, fanned out concurrently
-// over the city's Engine. A planner error other than "no route" is
-// returned; an empty set is recorded if a planner finds nothing (which
-// cannot happen for queries sampled from the public weights, but is
-// tolerated defensively).
+// over the city's Router (see RunPlannersBatch).
 func (c *City) RunPlanners(q Query) (RouteSets, error) {
-	rs := RouteSets{Query: q}
-	results := c.engine().Alternatives(c.Planners[:], q.S, q.T)
-	for i, r := range results {
-		rs.Versions[i] = r.Version
-		if r.Err == core.ErrNoRoute {
-			continue
-		}
-		if r.Err != nil {
-			return rs, fmt.Errorf("eval: %s on %d->%d: %w", c.Planners[i].Name(), q.S, q.T, r.Err)
-		}
-		rs.Sets[i] = r.Routes
+	out, err := c.RunPlannersBatch([]Query{q})
+	if err != nil {
+		return RouteSets{}, err
 	}
-	return rs, nil
+	return out[0], nil
 }
 
-// RunPlannersBatch answers many queries through the engine at once,
+// RunPlannersBatch answers many queries through the Router at once,
 // keeping every worker busy across query boundaries — the shape of a
-// heavily loaded deployment. Results are in query order.
+// heavily loaded deployment. The approaches planning on one weight store
+// answer under one snapshot version even while publishes race. A planner
+// error other than "no route" is returned; an empty set is recorded if a
+// planner finds nothing (which cannot happen for queries sampled from the
+// public weights, but is tolerated defensively). Results are in query
+// order.
 func (c *City) RunPlannersBatch(qs []Query) ([]RouteSets, error) {
 	jobs := make([]core.Job, 0, len(qs)*NumApproaches)
 	for _, q := range qs {
@@ -246,7 +233,14 @@ func (c *City) RunPlannersBatch(qs []Query) ([]RouteSets, error) {
 			jobs = append(jobs, core.Job{Planner: pl, S: q.S, T: q.T})
 		}
 	}
-	results := c.engine().AlternativesBatch(jobs)
+	// The Router's version-consistency retry is what keeps approaches on
+	// one store at one snapshot version while publishes race.
+	var results []core.Result
+	if c.Router != nil {
+		results = c.Router.AlternativesBatch(jobs)
+	} else {
+		results = defaultEngine.AlternativesBatch(jobs)
+	}
 	out := make([]RouteSets, len(qs))
 	for qi := range qs {
 		out[qi].Query = qs[qi]

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"log"
 	"net/http"
 	"sort"
@@ -164,8 +163,7 @@ type observationsRequest struct {
 // producer serialization guaranteeing gapless versions between the two.
 func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	var req observationsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	c, ok := s.cities[req.City]

@@ -4,7 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
+
+	"repro/internal/citygen"
+	"repro/internal/core"
+	"repro/internal/eval"
 )
 
 type trafficStatus struct {
@@ -103,5 +109,73 @@ func TestPublishAdvancesTrafficAndBans(t *testing.T) {
 	res = postJSON(t, ts.URL+"/api/publish?city=Copenhagen&ban=notanedge", nil)
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad ban id: status %d", res.StatusCode)
+	}
+}
+
+// TestRoutesVersionConsistentUnderClosureStorm: approaches B, C and D
+// plan on the public store, so every /api/routes response must report
+// one weightVersion for the three of them even while closure publishes
+// land mid-request. The city runs the demo server's ch-auto backend:
+// Plateaus serves a double-buffered hierarchy that trails each publish
+// until its background customization swaps, while Dissimilarity and
+// Penalty resolve the store directly — the mix the Router's
+// version-consistency retry exists to reconcile.
+func TestRoutesVersionConsistentUnderClosureStorm(t *testing.T) {
+	p := citygen.Copenhagen()
+	p.Rows, p.Cols = 20, 20
+	p.Motorway.Present = false
+	c, err := eval.NewCityOpts(p, 7, core.Options{TreeBackend: core.TreeCHAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(map[string]*eval.City{"Copenhagen": c}, ""))
+	t.Cleanup(ts.Close)
+	bb := c.Graph.BBox()
+	routesURL := ts.URL + fmt.Sprintf("/api/routes?city=Copenhagen&s=%f,%f&t=%f,%f",
+		bb.MinLat, bb.MinLon, bb.MaxLat, bb.MaxLon)
+
+	// Publishes are paced so that a request's retries (a Sync barrier plus
+	// a re-run) fit between two of them; back-to-back publishes could
+	// outlast the bounded retry loop by design.
+	const publishes = 16
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < publishes; i++ {
+			url := fmt.Sprintf("%s/api/publish?city=Copenhagen&step=0&ban=%d", ts.URL, (i*97)%c.Graph.NumEdges())
+			res, err := http.Post(url, "application/json", nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res.Body.Close()
+			time.Sleep(20 * time.Millisecond)
+		}
+	}()
+	responses := 0
+	for running := true; running; responses++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		var out struct {
+			Approaches []struct {
+				WeightVersion uint64 `json:"weightVersion"`
+			} `json:"approaches"`
+		}
+		if res := getJSON(t, routesURL, &out); res.StatusCode != http.StatusOK {
+			t.Fatalf("routes status = %d", res.StatusCode)
+		}
+		if len(out.Approaches) != 4 {
+			t.Fatalf("%d approaches, want 4", len(out.Approaches))
+		}
+		b, cv, d := out.Approaches[1].WeightVersion, out.Approaches[2].WeightVersion, out.Approaches[3].WeightVersion
+		if b != cv || b != d {
+			t.Fatalf("response %d mixes public weight versions: B=%d C=%d D=%d", responses, b, cv, d)
+		}
+	}
+	if v := c.PublicStore.Version(); v != 1+publishes {
+		t.Fatalf("public store at version %d, want %d", v, 1+publishes)
 	}
 }

@@ -13,6 +13,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"math"
@@ -248,7 +249,7 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 		out.Approaches = append(out.Approaches, aj)
 	}
 	// Live-swap observability: which snapshot each approach answered
-	// under, which hierarchy flavor served it (and how long its last
+	// under, which hierarchy served it (and how long its last
 	// customization took), plus the serving cache's cumulative hit rate.
 	// Verbose-only: this Printf (and the status formatting feeding it)
 	// once ran per query, pushing every concurrent request through the
@@ -280,8 +281,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		Sources [][2]float64 `json:"sources"` // [lat,lon] each
 		Targets [][2]float64 `json:"targets"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	c, ok := s.cities[req.City]
@@ -451,14 +451,14 @@ func (s *Server) writeTrafficStatus(w http.ResponseWriter, name string, c *eval.
 }
 
 // formatHierarchies renders the hierarchy observability suffix of the
-// per-query log line: flavor and last customization latency per approach
-// running on a hierarchy backend, plus — on restricted-sweep backends —
+// per-query log line: hierarchy kind and last customization latency per
+// approach running on a hierarchy backend, plus — on restricted-sweep backends —
 // the last query's RPHAST selection size, whether it came out of the
 // selection cache, and the tree-pair sweep time, with the cache's
 // cumulative hit/miss/eviction counters, e.g.
 // " hier A=cch(2.1ms)[sel 214 (hit), sweep 80µs, cache 31/2/0]
 // B=cch(2.3ms)[full sweep 310µs]"; empty when no approach runs a
-// hierarchy. Flavors running the elimination-tree query engine append a
+// hierarchy. Runtimes on the elimination-tree query engine append a
 // "[q=elimtree asc N trunc P%]" block: the last point-to-point ascent's
 // settled-node count and the cumulative share of ascents the incumbent
 // bound truncated early (since the last weight publish).
@@ -508,8 +508,7 @@ func toRouteJSON(c *eval.City, p path.Path) routeJSON {
 // handleRating accepts the feedback form (Fig. 3).
 func (s *Server) handleRating(w http.ResponseWriter, r *http.Request) {
 	var sub RatingSubmission
-	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &sub) {
 		return
 	}
 	if _, ok := s.cities[sub.City]; !ok {
@@ -549,6 +548,28 @@ func persistRatings(storePath string, all []RatingSubmission) error {
 		return err
 	}
 	return os.Rename(tmp, storePath)
+}
+
+// maxBodyBytes bounds every JSON request body (matrix, rating,
+// observations). The largest legitimate one, a 128×128 matrix request, is
+// about 10 KB.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. It answers 413 on an oversize body and 400 on malformed
+// JSON, and reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxBodyBytes))
+	default:
+		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -378,3 +378,31 @@ func TestMatrixEndpointErrors(t *testing.T) {
 		t.Errorf("malformed JSON: status = %d, want 400", res.StatusCode)
 	}
 }
+
+// TestJSONBodyLimit: every JSON endpoint stops reading at maxBodyBytes
+// and answers 413, before any of the body is acted on.
+func TestJSONBodyLimit(t *testing.T) {
+	cities := testCities(t)
+	srv := New(cities, "", WithIngest())
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	oversize := `{"city":"Copenhagen","comment":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, endpoint := range []string{"/api/matrix", "/api/rating", "/api/observations"} {
+		t.Run(endpoint, func(t *testing.T) {
+			res, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader(oversize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Body.Close()
+			if res.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status = %d, want 413", res.StatusCode)
+			}
+		})
+	}
+	if n := len(srv.Ratings()); n != 0 {
+		t.Fatalf("%d ratings stored from rejected bodies", n)
+	}
+	if v := cities["Copenhagen"].TrafficStore.Version(); v != 1 {
+		t.Fatalf("traffic store at version %d after rejected observations, want 1", v)
+	}
+}
