@@ -266,6 +266,15 @@ func BenchmarkPlannerDissimilarity(b *testing.B) {
 	benchPlanner(b, func(c *eval.City) core.Planner { return core.NewDissimilarity(c.Graph, core.Options{}) })
 }
 
+// BenchmarkDissimilarityCCH is BenchmarkPlannerDissimilarity on the
+// serving configuration: ch-auto trees over the flow-ordered CCH. The
+// gap between the two is what the tree backend buys Dissimilarity.
+func BenchmarkDissimilarityCCH(b *testing.B) {
+	benchPlanner(b, func(c *eval.City) core.Planner {
+		return core.NewDissimilarity(c.Graph, core.Options{TreeBackend: core.TreeCHAuto, Order: core.OrderFlow})
+	})
+}
+
 func BenchmarkPlannerCommercial(b *testing.B) {
 	benchPlanner(b, func(c *eval.City) core.Planner { return core.NewCommercial(c.Graph, c.Traffic, core.Options{}) })
 }

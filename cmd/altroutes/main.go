@@ -90,10 +90,11 @@ func run(city, graphPath string, seed int64, sCoord, tCoord string, sNode, tNode
 	if trafficStep != 0 {
 		fmt.Printf("Commercial provider planning on rush-hour step %d of %d\n\n", trafficStep, seq.Period())
 	}
+	plateaus := core.NewPlateaus(g, opts)
 	planners := []core.Planner{
 		core.NewCommercial(g, private, opts),
-		core.NewPlateaus(g, opts),
-		core.NewDissimilarity(g, opts),
+		plateaus,
+		core.NewDissimilarityFor(plateaus),
 		core.NewPenalty(g, opts),
 	}
 	if withYen {

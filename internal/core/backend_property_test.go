@@ -74,13 +74,17 @@ func TestBackendMatrix(t *testing.T) {
 		{"ch-auto/cch/flow", TreeCHAuto, HierarchyCCH, OrderFlow, QueryElimTree},
 		{"ch-auto/cch-perfect/flow", TreeCHAuto, HierarchyCCHPerfect, OrderFlow, QueryElimTree},
 	}
-	plannerNames := []string{"Plateaus", "PrunedPlateaus", "Dissimilarity", "Penalty", "Commercial"}
+	plannerNames := []string{"Plateaus", "PrunedPlateaus", "Dissimilarity", "Dissimilarity(shared)", "Penalty", "Commercial"}
 	mk := func(g *graph.Graph, snap *weights.Snapshot, cfg config) []Planner {
 		o := Options{TreeBackend: cfg.backend, Hierarchy: cfg.hkind, Order: cfg.order, Query: cfg.query, Weights: snap}
+		plateaus := NewPlateaus(g, o)
 		return []Planner{
-			NewPlateaus(g, o),
+			plateaus,
 			NewPrunedPlateaus(g, o),
 			NewDissimilarity(g, o),
+			// The serving wiring: trees, views and selections shared
+			// with the Plateaus planner above.
+			NewDissimilarityFor(plateaus),
 			NewPenalty(g, o),
 			// Commercial's private metric is the closure snapshot itself:
 			// its hierarchy and its elliptic/restricted selections must

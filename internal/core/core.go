@@ -84,8 +84,9 @@ type Options struct {
 	PenaltyFactor float64
 	// Theta is the Dissimilarity admission threshold (default 0.5).
 	Theta float64
-	// TreeBackend selects how the choice-routing planners (Plateaus,
-	// Commercial, PrunedPlateaus) build their shortest-path trees: full
+	// TreeBackend selects how the tree-based planners (Plateaus,
+	// Commercial, PrunedPlateaus, Dissimilarity) build their
+	// shortest-path trees; Penalty ignores it. The choices are full
 	// Dijkstra searches (TreeDijkstra, the default, matching the paper's
 	// description), PHAST downward sweeps over a contraction hierarchy
 	// (TreeCH, the §II-B optimisation commercial engines apply), RPHAST

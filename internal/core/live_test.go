@@ -524,14 +524,19 @@ func TestLiveTrafficSoakRestrictedSweeps(t *testing.T) {
 	seq := traffic.NewSequence(g, traffic.DefaultModel(7), 8)
 	privStore := weights.NewStore(seq.WeightsAt(0))
 
+	plateaus := NewPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCHRestricted, Hierarchy: HierarchyCCH})
 	planners := []Planner{
-		NewPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCHRestricted, Hierarchy: HierarchyCCH}),
+		plateaus,
 		NewPrunedPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH}),
 		NewDissimilarity(g, Options{Weights: pubStore}),
 		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCHRestricted, Hierarchy: HierarchyCCH}),
+		// Shares plateaus' provider: its queries race the same views,
+		// selection cache and background customizations.
+		NewDissimilarityFor(plateaus),
 	}
 	storeOf := map[Planner]*weights.Store{
 		planners[0]: pubStore, planners[1]: pubStore, planners[2]: pubStore, planners[3]: privStore,
+		planners[4]: pubStore,
 	}
 	engine := NewEngine(4)
 	router := NewRouter(engine, planners, pubStore, privStore)
@@ -621,11 +626,12 @@ func TestLiveTrafficSoakRestrictedSweeps(t *testing.T) {
 	wg.Wait()
 	router.Sync()
 
-	// Steady state: the restricted planner agrees byte-for-byte with a
-	// fresh Dijkstra planner pinned at the final snapshot.
+	// Steady state: the restricted planners agree byte-for-byte with
+	// fresh Dijkstra planners pinned at the final snapshot.
 	fresh := NewPlateaus(g, Options{Weights: pubStore.Latest()})
-	comparePlannersExact(t, fresh, planners[0].(*Plateaus), g, 6, 13)
-	if v := planners[0].(*Plateaus).WeightsVersion(); v != pubStore.Version() {
+	comparePlannersExact(t, fresh, plateaus, g, 6, 13)
+	comparePlannersExact(t, NewDissimilarity(g, Options{Weights: pubStore.Latest()}), planners[4], g, 6, 13)
+	if v := plateaus.WeightsVersion(); v != pubStore.Version() {
 		t.Fatalf("post-sync version %d != store version %d", v, pubStore.Version())
 	}
 }

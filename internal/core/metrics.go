@@ -122,7 +122,8 @@ func (m *Metrics) selectionObserver() *metrics.Histogram {
 }
 
 // metricsSetter is implemented by planners that can sink the bundle's
-// per-planner observers (the provider-backed ones).
+// per-planner observers (the provider-backed ones, except Dissimilarity:
+// the provider it shares with Plateaus must be observed once).
 type metricsSetter interface {
 	setMetrics(*Metrics)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/graph"
 	"repro/internal/path"
 	"repro/internal/sp"
@@ -18,8 +20,10 @@ import (
 // times under the *original* weights and no upper-bound filter is applied
 // unless Options.ApplyUpperBoundToPenalty is set. Each query resolves the
 // current weight snapshot from Options.Weights and penalizes a private
-// working copy of it, so the planner follows live traffic without any
-// per-version state of its own.
+// working copy of it (pooled, so warm queries do not allocate one), so
+// the planner follows live traffic without any per-version state of its
+// own. Penalty always searches with Dijkstra and ignores
+// Options.TreeBackend: every iteration plans on different weights.
 type Penalty struct {
 	g    *graph.Graph
 	src  weights.Source
@@ -27,18 +31,26 @@ type Penalty struct {
 	// maxIterations bounds the search when penalised reroutes keep
 	// rediscovering known paths; 4·K+4 is generous for road networks.
 	maxIterations int
+	// work pools the per-query penalized weight copies (*[]float64, one
+	// weight per edge).
+	work sync.Pool
 }
 
 // NewPenalty returns a Penalty planner over g planning on Options.Weights
 // (nil pins the graph's base travel-time weights).
 func NewPenalty(g *graph.Graph, opts Options) *Penalty {
 	o := opts.withDefaults()
-	return &Penalty{
+	p := &Penalty{
 		g:             g,
 		src:           resolveSource(g, o.Weights),
 		opts:          o,
 		maxIterations: 4*o.K + 4,
 	}
+	p.work.New = func() any {
+		w := make([]float64, g.NumEdges())
+		return &w
+	}
+	return p
 }
 
 // Name implements Planner.
@@ -66,7 +78,9 @@ func (p *Penalty) AlternativesVersioned(s, t graph.NodeID) ([]path.Path, weights
 	if s == t {
 		return trivialQuery(p.g, base, s), ver, nil
 	}
-	work := make([]float64, len(base))
+	wp := p.work.Get().(*[]float64)
+	defer p.work.Put(wp)
+	work := *wp
 	copy(work, base)
 	ws := sp.GetWorkspace()
 	defer ws.Release()

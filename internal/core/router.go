@@ -257,7 +257,10 @@ func (r *Router) ServingVersions() []weights.Version {
 }
 
 // hierarchyReporter is implemented by planners backed by a hierarchy
-// provider (the choice-routing planners on TreeCH).
+// provider (the choice-routing planners on TreeCH). Dissimilarity does
+// not implement it, so the provider it shares with Plateaus
+// (NewDissimilarityFor) is reported once; a standalone Dissimilarity's
+// hierarchy goes unreported.
 type hierarchyReporter interface {
 	HierarchyStatus() HierarchyStatus
 }

@@ -17,9 +17,10 @@ import (
 	"repro/internal/weights"
 )
 
-// TreeBackend selects how the choice-routing planners (Plateaus,
-// Commercial, PrunedPlateaus) obtain the forward/backward shortest-path
-// trees their plateau join consumes.
+// TreeBackend selects how the tree-based planners (Plateaus, Commercial,
+// PrunedPlateaus, Dissimilarity) obtain the forward/backward
+// shortest-path trees their plateau join or via-node scan consumes.
+// Penalty ignores it: each of its iterations searches different weights.
 type TreeBackend uint8
 
 const (
@@ -230,8 +231,8 @@ type HierarchyStatus struct {
 	LastAscent      int
 }
 
-// TreeSource abstracts the tree factory behind the choice-routing
-// planners. Implementations must be safe for concurrent use: all per-call
+// TreeSource abstracts the tree factory behind the tree-based planners.
+// Implementations must be safe for concurrent use: all per-call
 // scratch state lives in the passed workspace.
 type TreeSource interface {
 	// BuildTrees writes a forward tree rooted at s and a backward tree

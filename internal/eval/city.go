@@ -98,9 +98,11 @@ func NewCity(profile citygen.Profile, seed int64) (*City, error) {
 
 // NewCityOpts is NewCity with explicit planner options — the hook for
 // deployment knobs like Options.TreeBackend (Dijkstra vs CH trees in the
-// choice-routing planners). Options.Weights is overridden per planner:
+// tree-based planners). Options.Weights is overridden per planner:
 // the public store for the three OSM-metric approaches, the traffic
-// store for the commercial stand-in.
+// store for the commercial stand-in. Dissimilarity and the matrix engine
+// share the Plateaus planner's weight provider, so one customization per
+// public publish serves all three.
 func NewCityOpts(profile citygen.Profile, seed int64, opts core.Options) (*City, error) {
 	g, err := profile.Generate(seed)
 	if err != nil {
@@ -126,7 +128,7 @@ func NewCityOpts(profile citygen.Profile, seed int64, opts core.Options) (*City,
 	c.Planners = [NumApproaches]core.Planner{
 		core.NewCommercial(g, nil, topts),
 		plateaus,
-		core.NewDissimilarity(g, popts),
+		core.NewDissimilarityFor(plateaus),
 		core.NewPenalty(g, popts),
 	}
 	c.Router = core.NewRouter(core.NewEngine(0), c.Planners[:], c.PublicStore, c.TrafficStore)

@@ -116,9 +116,9 @@ func TestPublishAdvancesTrafficAndBans(t *testing.T) {
 // plan on the public store, so every /api/routes response must report
 // one weightVersion for the three of them even while closure publishes
 // land mid-request. The city runs the demo server's ch-auto backend:
-// Plateaus serves a double-buffered hierarchy that trails each publish
-// until its background customization swaps, while Dissimilarity and
-// Penalty resolve the store directly — the mix the Router's
+// Plateaus and Dissimilarity share a double-buffered hierarchy that
+// trails each publish until its background customization swaps, while
+// Penalty resolves the store directly — the mix the Router's
 // version-consistency retry exists to reconcile.
 func TestRoutesVersionConsistentUnderClosureStorm(t *testing.T) {
 	p := citygen.Copenhagen()
