@@ -267,11 +267,11 @@ func BenchmarkPlannerDissimilarity(b *testing.B) {
 }
 
 // BenchmarkDissimilarityCCH is BenchmarkPlannerDissimilarity on the
-// serving configuration: ch-auto trees over the flow-ordered CCH. The
-// gap between the two is what the tree backend buys Dissimilarity.
+// serving configuration: ch trees over the flow-ordered CCH. The gap
+// between the two is what the tree backend buys Dissimilarity.
 func BenchmarkDissimilarityCCH(b *testing.B) {
 	benchPlanner(b, func(c *eval.City) core.Planner {
-		return core.NewDissimilarity(c.Graph, core.Options{TreeBackend: core.TreeCHAuto, Order: core.OrderFlow})
+		return core.NewDissimilarity(c.Graph, core.Options{TreeBackend: core.TreeCH, Order: core.OrderFlow})
 	})
 }
 
@@ -415,9 +415,9 @@ func TestPlateausTreeSweepZeroAlloc(t *testing.T) {
 // and reused — the RPHAST amortization. Run with -benchmem: restricted
 // builds allocate nothing warm.
 
-// rphastTargets replicates the serving layer's elliptic selection: every
-// node whose geometric lower-bound detour fits within UpperBound × the
-// fastest time.
+// rphastTargets builds one query's elliptic target set: every node whose
+// geometric lower-bound detour fits within UpperBound × the fastest time
+// (§II-B's pruning region).
 func rphastTargets(b *testing.B, g *graph.Graph, w []float64, h *ch.Runtime, s, t graph.NodeID) []graph.NodeID {
 	b.Helper()
 	fastest := h.Dist(s, t)
@@ -479,8 +479,8 @@ func BenchmarkRPHASTGrid50(b *testing.B) {
 }
 
 // BenchmarkRPHASTSelectGrid50 is the amortized half: re-selecting the
-// target subgraph onto warm Selection storage — the per-ellipse price a
-// serving process pays once per (s,t) pair per weight version.
+// target subgraph onto warm Selection storage — the price one Select
+// pays before its sweeps.
 func BenchmarkRPHASTSelectGrid50(b *testing.B) {
 	g := benchGrid(50, 50)
 	w := g.CopyWeights()
@@ -536,14 +536,13 @@ func BenchmarkRPHASTMelbourne(b *testing.B) {
 	}
 }
 
-// BenchmarkPlateausCHShort / BenchmarkPlateausRPHASTShort compare the
-// full planner pipeline (trees + join + assembly, selection cache hot) on
-// one short grid query across the full-sweep and restricted backends.
-func benchPlateausShort(b *testing.B, backend core.TreeBackend) {
+// BenchmarkPlateausCHShort measures the full planner pipeline (trees +
+// join + assembly, warm workspace pool) on one short grid query.
+func BenchmarkPlateausCHShort(b *testing.B) {
 	g := benchGrid(50, 50)
-	planner := core.NewPlateaus(g, core.Options{TreeBackend: backend})
+	planner := core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCH})
 	s, t := benchShortGridPair(50)
-	if _, err := planner.Alternatives(s, t); err != nil { // warm the selection cache
+	if _, err := planner.Alternatives(s, t); err != nil { // warm the workspace pool
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -553,10 +552,6 @@ func benchPlateausShort(b *testing.B, backend core.TreeBackend) {
 		}
 	}
 }
-
-func BenchmarkPlateausCHShort(b *testing.B) { benchPlateausShort(b, core.TreeCH) }
-
-func BenchmarkPlateausRPHASTShort(b *testing.B) { benchPlateausShort(b, core.TreeCHRestricted) }
 
 func BenchmarkMicroCHDist(b *testing.B) {
 	g, w := benchCityGraph(b)
@@ -653,42 +648,6 @@ func benchQueryEngine(b *testing.B, bidir bool) {
 func BenchmarkElimTreeDist(b *testing.B) { benchQueryEngine(b, false) }
 
 func BenchmarkCHDist(b *testing.B) { benchQueryEngine(b, true) }
-
-// BenchmarkElimTreeMatrixBound measures the matrix engine's bound
-// computation for one target column of k sources: the batched
-// multi-source ascent (one backward ascent shared across k forward
-// ascents) against the k independent Dist calls it replaced.
-func BenchmarkElimTreeMatrixBound(b *testing.B) {
-	study := benchSetup(b)
-	city := study.Cities["Melbourne"]
-	pre := cch.PreprocessWith(city.Graph, cch.OrderConfig{Kind: cch.OrderFlow})
-	h := pre.CustomizeWith(city.Public, cch.Config{})
-	rng := rand.New(rand.NewSource(7))
-	const k = 16
-	sources := make([]graph.NodeID, k)
-	for i := range sources {
-		sources[i] = graph.NodeID(rng.Intn(city.Graph.NumNodes()))
-	}
-	target := graph.NodeID(rng.Intn(city.Graph.NumNodes()))
-	out := make([]float64, k)
-	b.Run("batched", func(b *testing.B) {
-		h.AscentDists(sources, target, out) // warm the workspace pool
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !h.AscentDists(sources, target, out) {
-				b.Fatal("runtime declined the batched ascent")
-			}
-		}
-	})
-	b.Run("per-pair", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j, s := range sources {
-				out[j] = h.Dist(s, target)
-			}
-		}
-	})
-}
 
 // --- Live traffic: CCH preprocessing vs per-publish customization -----------
 
@@ -986,7 +945,7 @@ func benchGridCity(rows, cols int) *eval.City {
 
 func benchMatrixGrid50(b *testing.B, k int, pairwise bool) {
 	city := benchGridCity(50, 50)
-	m := core.NewMatrixEngine(city.Graph, core.Options{TreeBackend: core.TreeCHRestricted}, core.NewEngine(1))
+	m := core.NewMatrixEngine(city.Graph, core.Options{TreeBackend: core.TreeCH}, core.NewEngine(1))
 	sources := benchClusteredNodes(b, city, k, -800, -600, 1200, 101)
 	targets := benchClusteredNodes(b, city, k, 700, 500, 1200, 102)
 	if pairwise {
@@ -1005,7 +964,7 @@ func BenchmarkMatrixPairwiseGrid50K16(b *testing.B) { benchMatrixGrid50(b, 16, t
 func benchMatrixMelbourne(b *testing.B, k int, pairwise bool) {
 	study := benchSetup(b)
 	city := study.Cities["Melbourne"]
-	m := core.NewMatrixEngine(city.Graph, core.Options{TreeBackend: core.TreeCHRestricted, Hierarchy: core.HierarchyCCH}, core.NewEngine(1))
+	m := core.NewMatrixEngine(city.Graph, core.Options{TreeBackend: core.TreeCH, Hierarchy: core.HierarchyCCH}, core.NewEngine(1))
 	sources := benchClusteredNodes(b, city, k, -1500, -1000, 2000, 103)
 	targets := benchClusteredNodes(b, city, k, 1200, 900, 2000, 104)
 	if pairwise {
@@ -1028,28 +987,31 @@ func BenchmarkMatrixMelbourneK64(b *testing.B) { benchMatrixMelbourne(b, 64, fal
 func BenchmarkMatrixPairwiseMelbourne(b *testing.B) { benchMatrixMelbourne(b, 16, true) }
 
 // BenchmarkSelectionCacheAlternatingPairs measures the fixed hot path of
-// the thrash bug: two alternating hot query pairs, both selections
-// resident, every query a cache hit (the old single-slot cache rebuilt
-// the selection on every single one of these queries).
+// the thrash bug: two alternating hot matrix target sets, both selections
+// resident, every table a cache hit (a single-slot cache rebuilt the
+// selection on every one of these tables).
 func BenchmarkSelectionCacheAlternatingPairs(b *testing.B) {
-	g := benchGrid(50, 50)
-	planner := core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCHRestricted})
-	s1, t1 := benchShortGridPair(50)
-	s2, t2 := graph.NodeID(35*50+8), graph.NodeID(42*50+14)
-	queries := [2][2]graph.NodeID{{s1, t1}, {s2, t2}}
-	for _, q := range queries { // both selections resident
-		if _, err := planner.Alternatives(q[0], q[1]); err != nil {
+	city := benchGridCity(50, 50)
+	m := core.NewMatrixEngine(city.Graph, core.Options{TreeBackend: core.TreeCH}, core.NewEngine(1))
+	sources := benchClusteredNodes(b, city, 4, -800, -600, 1200, 101)
+	sets := [2][]graph.NodeID{
+		benchClusteredNodes(b, city, 4, 700, 500, 1200, 102),
+		benchClusteredNodes(b, city, 4, -700, 900, 1200, 105),
+	}
+	var tab core.Table
+	for _, targets := range sets { // both selections resident
+		if err := m.MatrixInto(&tab, sources, targets); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := queries[i%2]
-		if _, err := planner.Alternatives(q[0], q[1]); err != nil {
+		if err := m.MatrixInto(&tab, sources, sets[i%2]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	st := planner.HierarchyStatus()
+	st := m.HierarchyStatus()
 	if total := st.SelectionHits + st.SelectionMisses; total > 0 {
 		b.ReportMetric(float64(st.SelectionHits)/float64(total), "hit-rate")
 	}

@@ -14,7 +14,7 @@
 // Usage:
 //
 //	demoserver [-addr :8080] [-seed N] [-ratings ratings.json] [-workers N]
-//	           [-trees dijkstra|ch|ch-restricted|ch-auto] [-hierarchy cch|cch-perfect]
+//	           [-trees dijkstra|ch] [-hierarchy cch|cch-perfect]
 //	           [-order flow|geometric] [-query elimtree|bidij]
 //	           [-traffic-step 30s] [-cache 4096]
 //	           [-metrics] [-ingest] [-verbose]
@@ -23,7 +23,8 @@
 // /metrics; -ingest opens the POST /api/observations telemetry path
 // (observed speeds, incident closures, deterministic scenario replay);
 // -verbose restores the per-query log lines the hot handlers no longer
-// emit by default.
+// emit by default. The listener bounds every connection with fixed read,
+// write and idle timeouts (see newHTTPServer).
 package main
 
 import (
@@ -45,7 +46,7 @@ func main() {
 	seed := flag.Int64("seed", 2022, "city generation seed")
 	ratingsPath := flag.String("ratings", "ratings.json", "file the submitted ratings are stored in (empty disables)")
 	workers := flag.Int("workers", 0, "concurrent planner calls per city (0 = number of CPUs)")
-	backend := backendflag.Register(flag.CommandLine, "ch-auto")
+	backend := backendflag.Register(flag.CommandLine, "ch")
 	trafficStep := flag.Duration("traffic-step", 0, "auto-advance the rush-hour traffic sequence at this interval (0 disables; publishes also arrive via POST /api/publish)")
 	cacheSize := flag.Int("cache", core.DefaultCacheSize, "versioned result-cache capacity of the serving engine (0 disables)")
 	metricsOn := flag.Bool("metrics", true, "serve the Prometheus scrape endpoint on GET /metrics (query/customization latency, cache hit rates, store versions, ingest state)")
@@ -96,7 +97,39 @@ func run(addr string, seed int64, ratingsPath string, workers int, opts core.Opt
 	srv := server.New(study.Cities, ratingsPath, sopts...)
 	log.Printf("demoserver: listening on http://localhost%s (%d planner workers, cache %d, traffic-step %v, metrics %v, ingest %v, verbose %v)",
 		addr, engine.Workers(), cacheSize, trafficStep, metricsOn, ingest, verbose)
-	return http.ListenAndServe(addr, srv)
+	return newHTTPServer(addr, srv).ListenAndServe()
+}
+
+// Connection bounds of the listener. A slow or stalled client holds a
+// connection (and, mid-request, an engine slot) for at most these.
+const (
+	// readHeaderTimeout bounds reading the request line and headers.
+	readHeaderTimeout = 5 * time.Second
+	// readTimeout bounds reading the whole request, body included; the
+	// largest body accepted is 1 MiB.
+	readTimeout = 15 * time.Second
+	// writeTimeout bounds the time from the end of the request headers to
+	// the end of the response write, so it must clear the slowest
+	// legitimate response — a 128×128 /api/matrix table on Dijkstra
+	// trees, queued behind a full engine — with a wide margin. Computed
+	// alone, that table takes ~0.1 s on Melbourne (2-CPU container).
+	writeTimeout = 60 * time.Second
+	// idleTimeout bounds how long a keep-alive connection may wait for
+	// its next request.
+	idleTimeout = 120 * time.Second
+)
+
+// newHTTPServer returns the listener serving h on addr with the
+// connection bounds above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // autoAdvance publishes the next rush-hour snapshot of every city at a

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	matrix -city Melbourne -k 16
-//	matrix -graph net.bin -k 64 -trees ch-restricted -hierarchy cch
+//	matrix -graph net.bin -k 64 -trees ch -hierarchy cch
 //	matrix -city Dhaka -sources "23.78,90.38;23.80,90.40" -targets "23.85,90.48"
 //
 // Endpoints are either sampled uniformly (-k of each) or given explicitly
@@ -37,7 +37,7 @@ func main() {
 	k := flag.Int("k", 16, "number of sampled sources and targets (ignored when -sources/-targets are given)")
 	sourcesArg := flag.String("sources", "", "explicit sources as semicolon-separated lat,lon pairs")
 	targetsArg := flag.String("targets", "", "explicit targets as semicolon-separated lat,lon pairs")
-	backend := backendflag.Register(flag.CommandLine, "ch-restricted")
+	backend := backendflag.Register(flag.CommandLine, "ch")
 	reps := flag.Int("reps", 5, "warm repetitions timed per configuration")
 	baseline := flag.Bool("baseline", true, "also time the k² point-to-point baseline")
 	printTable := flag.Bool("print", false, "print the full table (minutes; '-' = unreachable)")

@@ -20,10 +20,10 @@ type Set struct {
 // to defaultTrees.
 func Register(fs *flag.FlagSet, defaultTrees string) *Set {
 	return &Set{
-		trees:     fs.String("trees", defaultTrees, "tree backend for the tree-based planners (Plateaus, Commercial, Dissimilarity): dijkstra (full Dijkstra trees, as the paper describes), ch (PHAST full sweeps), ch-restricted (RPHAST restricted sweeps) or ch-auto (RPHAST for short queries, full sweeps otherwise)"),
-		hierarchy: fs.String("hierarchy", "cch", "customization of the contraction hierarchy behind the ch backends: cch (exact for every published snapshot, closures included) or cch-perfect (cch plus dominated-arc pruning on every publish)"),
+		trees:     fs.String("trees", defaultTrees, "tree backend for the tree-based planners (Plateaus, Commercial, Dissimilarity): dijkstra (full Dijkstra trees, as the paper describes) or ch (full PHAST sweeps over a customizable contraction hierarchy; /api/matrix tables on it run RPHAST restricted sweeps). The retired spellings ch-restricted, rphast, ch-auto and auto mean ch"),
+		hierarchy: fs.String("hierarchy", "cch", "customization of the contraction hierarchy behind the ch backend: cch (exact for every published snapshot, closures included) or cch-perfect (cch plus dominated-arc pruning on every publish)"),
 		order:     fs.String("order", "flow", "CCH contraction-order pipeline: flow (inertial-flow separators: smaller hierarchy, faster publishes, slower one-off order build at startup) or geometric (coordinate bisection: faster one-off preprocessing)"),
-		query:     fs.String("query", "elimtree", "point-to-point query engine on the hierarchy: elimtree (heap-free elimination-tree ascents) or bidij (bidirectional upward Dijkstra); distances are bit-identical either way"),
+		query:     fs.String("query", "elimtree", "point-to-point query engine on the hierarchy: elimtree (heap-free elimination-tree ascents) or bidij (bidirectional upward Dijkstra); distances are bit-identical either way, and no serving path issues point-to-point queries"),
 	}
 }
 

@@ -23,7 +23,7 @@ func parse(t *testing.T, defaultTrees string, args ...string) (core.Options, err
 // command; every command serves cch, flow and elimtree unless told
 // otherwise.
 func TestDefaults(t *testing.T) {
-	for _, trees := range []string{"dijkstra", "ch-restricted", "ch-auto"} {
+	for _, trees := range []string{"dijkstra", "ch"} {
 		opts, err := parse(t, trees)
 		if err != nil {
 			t.Fatal(err)
@@ -31,6 +31,21 @@ func TestDefaults(t *testing.T) {
 		if opts.TreeBackend.String() != trees || opts.Hierarchy != core.HierarchyCCH ||
 			opts.Order != core.OrderFlow || opts.Query != core.QueryElimTree {
 			t.Fatalf("defaults with -trees %s: %+v", trees, opts)
+		}
+	}
+}
+
+// TestRetiredTreeSpellings pins the spellings of the tree backends folded
+// into ch: scripts and benchmarks still pass them, and they must select
+// the one hierarchy backend.
+func TestRetiredTreeSpellings(t *testing.T) {
+	for _, trees := range []string{"ch-restricted", "rphast", "ch-auto", "auto"} {
+		opts, err := parse(t, "dijkstra", "-trees", trees)
+		if err != nil {
+			t.Fatalf("-trees %s: %v", trees, err)
+		}
+		if opts.TreeBackend != core.TreeCH || opts.TreeBackend.String() != "ch" {
+			t.Fatalf("-trees %s parsed to %v", trees, opts.TreeBackend)
 		}
 	}
 }
@@ -53,7 +68,7 @@ func TestRejectsUnknownSpellings(t *testing.T) {
 		{"-order", "metis"},
 		{"-query", "dijkstra"},
 	} {
-		if _, err := parse(t, "ch-auto", args...); err == nil {
+		if _, err := parse(t, "ch", args...); err == nil {
 			t.Errorf("%v: accepted", args)
 		}
 	}

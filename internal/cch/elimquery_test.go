@@ -237,45 +237,6 @@ func TestElimScratchAcrossRecustomize(t *testing.T) {
 	}
 }
 
-// TestAscentDistsMatchesDist pins the batched multi-source ascent the
-// matrix engine's bound computation runs on: one shared backward ascent
-// must yield, per source, exactly the bits Dist would — including s==t
-// zeros and unreachable +Inf — and the capability must report false on
-// a bidij runtime so callers fall back.
-func TestAscentDistsMatchesDist(t *testing.T) {
-	g := randomCity(37, 180)
-	w := perturbedWeights(g, 3, 0.10)
-	pre := Preprocess(g)
-	elim := pre.CustomizeWith(w, Config{})
-	bidij := pre.CustomizeWith(w, Config{BidirQuery: true})
-
-	rng := rand.New(rand.NewSource(41))
-	sources := make([]graph.NodeID, 12)
-	for i := range sources {
-		sources[i] = graph.NodeID(rng.Intn(g.NumNodes()))
-	}
-	out := make([]float64, len(sources))
-	for q := 0; q < 10; q++ {
-		target := graph.NodeID(rng.Intn(g.NumNodes()))
-		if q == 0 {
-			target = sources[0] // force an s==t cell
-		}
-		if !elim.AscentDists(sources, target, out) {
-			t.Fatalf("elimtree runtime declined AscentDists")
-		}
-		for i, s := range sources {
-			want := elim.Dist(s, target)
-			if math.Float64bits(out[i]) != math.Float64bits(want) {
-				t.Fatalf("target %d source %d: batched %v (bits %x) vs Dist %v (bits %x)",
-					target, s, out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
-			}
-		}
-	}
-	if bidij.AscentDists(sources, sources[0], out) {
-		t.Fatalf("bidij runtime accepted AscentDists")
-	}
-}
-
 // TestElimDistWarmZeroAlloc pins the hot path's allocation budget: a warm
 // elimination-tree Dist allocates nothing — the workspace comes from the
 // pool and the ascents walk parent pointers with no per-query state.

@@ -228,154 +228,3 @@ func (h *Runtime) recordQuery(nodes int, truncated bool) {
 		st.truncated.Add(1)
 	}
 }
-
-// elimAscendBackward settles t's complete backward search space — every
-// labeled node of t's root path, unpruned, so the labels serve any source
-// — by draining ba's pending frontier in descending depth order. Every
-// relax target is a strict ancestor of the settled node (clique
-// property), hence settles later, so settled labels are final.
-func (h *Runtime) elimAscendBackward(ba *sp.AscentScratch, b *sp.SearchState, t graph.NodeID) (nodes int) {
-	dep := h.elim.Depth
-	inert, arcW, arcFrom := h.inert, h.arcW, h.arcFrom
-	dt := int(dep[t])
-	ba.Begin(dt)
-	ba.Mark(dt, t)
-	bbits, bchain := ba.Raw()
-	for d := dt; ; d-- {
-		w, mask := d>>6, uint64(2)<<uint(d&63)-1
-		bs := bbits[w] & mask
-		for bs == 0 {
-			if w == 0 {
-				return nodes
-			}
-			w--
-			bs = bbits[w]
-		}
-		d = w<<6 + mbits.Len64(bs) - 1
-		bbits[w] &^= 1 << uint(d&63)
-		x := bchain[d]
-		nodes++
-		dx := b.DistOf(x)
-		for _, ai := range h.upBwdAt(x) {
-			if inert != nil && inert[ai] {
-				continue
-			}
-			from := arcFrom[ai]
-			if _, fresh := b.Improve(from, dx+arcW[ai], graph.EdgeID(ai)); fresh {
-				dfrom := int(dep[from])
-				bbits[dfrom>>6] |= 1 << uint(dfrom&63)
-				bchain[dfrom] = from
-			}
-		}
-		if d == 0 { // root settled: nothing pends below it
-			return nodes
-		}
-	}
-}
-
-// elimAscendForward settles s's forward labels against the frozen
-// backward labels: every settled node x first tries to improve the
-// incumbent (df(x) + db(x); db is +Inf off t's search space), then
-// relaxes its upward forward arcs — pruned against the incumbent, since
-// a label that cannot beat it can never produce a better meet. truncated
-// reports whether the frontier starved above depth 0 (incumbent pruning
-// cut the tail, or s's reachable space ended below the root).
-func (h *Runtime) elimAscendForward(fa *sp.AscentScratch, f, b *sp.SearchState, s graph.NodeID) (best float64, meet graph.NodeID, nodes int, truncated bool) {
-	dep := h.elim.Depth
-	inert, arcTo, arcW := h.inert, h.arcTo, h.arcW
-	best = math.Inf(1)
-	meet = graph.InvalidNode
-	ds := int(dep[s])
-	fa.Begin(ds)
-	fa.Mark(ds, s)
-	fbits, fchain := fa.Raw()
-	last := ds
-	for d := ds; ; d-- {
-		w, mask := d>>6, uint64(2)<<uint(d&63)-1
-		bs := fbits[w] & mask
-		for bs == 0 {
-			if w == 0 {
-				return best, meet, nodes, last > 0
-			}
-			w--
-			bs = fbits[w]
-		}
-		d = w<<6 + mbits.Len64(bs) - 1
-		fbits[w] &^= 1 << uint(d&63)
-		x := fchain[d]
-		last = d
-		nodes++
-		dx := f.DistOf(x)
-		if dx >= best {
-			if d == 0 {
-				return best, meet, nodes, false
-			}
-			continue
-		}
-		if dd := dx + b.DistOf(x); dd < best {
-			best = dd
-			meet = x
-		}
-		for _, ai := range h.upFwdAt(x) {
-			if inert != nil && inert[ai] {
-				continue
-			}
-			to := arcTo[ai]
-			nd := dx + arcW[ai]
-			if nd < best {
-				improved, fresh := f.Improve(to, nd, graph.EdgeID(ai))
-				if improved {
-					// The frozen backward labels are final, so the peeked
-					// pairing is exact — the incumbent tightens at write time
-					// and starves the ascent that much sooner.
-					if dd := nd + b.DistOf(to); dd < best {
-						best = dd
-						meet = to
-					}
-				}
-				if fresh {
-					dto := int(dep[to])
-					fbits[dto>>6] |= 1 << uint(dto&63)
-					fchain[dto] = to
-				}
-			}
-		}
-		if d == 0 { // root settled: nothing pends below it
-			return best, meet, nodes, false
-		}
-	}
-}
-
-// AscentDists computes the point-to-point distances from every source to
-// one target with a single shared backward ascent of t plus one truncated
-// forward ascent per source — the bounded multi-source engine behind the
-// matrix baseline's per-row bound computation. out[i] receives
-// Dist(sources[i], t) (bit-identical to per-pair Dist; +Inf when
-// unreachable) and must have len(sources) capacity. It reports false —
-// and computes nothing — when the runtime carries no elimination tree;
-// callers then fall back to per-pair Dist.
-func (h *Runtime) AscentDists(sources []graph.NodeID, t graph.NodeID, out []float64) bool {
-	if h.elim == nil {
-		return false
-	}
-	ws := sp.GetWorkspace()
-	defer ws.Release()
-	n := h.g.NumNodes()
-	f, b := &ws.F, &ws.B
-	b.Begin(n)
-	b.Update(t, 0, -1)
-	bNodes := h.elimAscendBackward(&ws.BA, b, t)
-	for i, s := range sources {
-		if s == t {
-			out[i] = 0
-			h.recordQuery(0, false)
-			continue
-		}
-		f.Begin(n) // O(1) epoch bump: the backward labels stay frozen
-		f.Update(s, 0, -1)
-		best, _, fNodes, truncated := h.elimAscendForward(&ws.FA, f, b, s)
-		out[i] = best
-		h.recordQuery(bNodes+fNodes, truncated)
-	}
-	return true
-}

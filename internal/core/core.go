@@ -88,16 +88,13 @@ type Options struct {
 	// Commercial, PrunedPlateaus, Dissimilarity) build their
 	// shortest-path trees; Penalty ignores it. The choices are full
 	// Dijkstra searches (TreeDijkstra, the default, matching the paper's
-	// description), PHAST downward sweeps over a contraction hierarchy
-	// (TreeCH, the §II-B optimisation commercial engines apply), RPHAST
-	// restricted sweeps over the query's elliptic target set
-	// (TreeCHRestricted — sublinear tree builds for short queries), or
-	// the auto mode that restricts only while the ellipse stays small
-	// (TreeCHAuto). All backends produce equivalent route sets; the CH
-	// family trades a one-off preprocessing at planner construction for
-	// much cheaper queries.
+	// description) or full PHAST sweeps over a customizable contraction
+	// hierarchy (TreeCH, the §II-B optimisation commercial engines
+	// apply). Both produce equivalent route sets; TreeCH trades a one-off
+	// preprocessing at planner construction for much cheaper queries, and
+	// lets the matrix engine run RPHAST restricted sweeps.
 	TreeBackend TreeBackend
-	// Hierarchy selects the customization behind the CH backends'
+	// Hierarchy selects the customization behind the CH backend's
 	// customizable contraction hierarchy, which contracts
 	// metric-independently on a nested-dissection order and customizes by
 	// triangle relaxation, staying exact for every published snapshot
@@ -115,30 +112,17 @@ type Options struct {
 	// TreeDijkstra.
 	Order OrderKind
 	// Query selects the point-to-point distance engine on the CCH
-	// hierarchy: QueryElimTree (the default) answers Dist/Path —
-	// including the fastest-time bound seeding every restricted selection
-	// — by walking the elimination-tree root paths heap-free; QueryBidij
-	// keeps the bidirectional upward Dijkstra. Distances are
-	// bit-identical either way. Ignored on TreeDijkstra.
-	Query QueryEngine
-	// CustomizeWorkers bounds the per-level worker fan-out of CCH
-	// customization (the triangle relaxation behind every CCH publish).
-	// 0 selects GOMAXPROCS; 1 forces the serial sweep. Any value yields
-	// bit-identical hierarchies — it is purely a publish-latency knob.
+	// hierarchy: QueryElimTree (the default) answers Dist/Path by walking
+	// the elimination-tree root paths heap-free; QueryBidij keeps the
+	// bidirectional upward Dijkstra. Distances are bit-identical either
+	// way, and no serving path issues point-to-point hierarchy queries.
 	// Ignored on TreeDijkstra.
-	CustomizeWorkers int
-	// SelectionCacheBytes is the total byte budget of the restricted
-	// backends' selection cache (per planner, per weight version): cached
-	// RPHAST selections keyed by spatial cell signature, clock-evicted
-	// once the budget is exceeded. 0 selects DefaultSelectionCacheBytes;
-	// negative degenerates to holding a single entry per shard. Ignored
-	// off TreeCHRestricted/TreeCHAuto.
-	SelectionCacheBytes int
+	Query QueryEngine
 	// DisablePrunedTrees makes the Commercial planner build full trees
 	// instead of the elliptically pruned trees (sp.BuildPrunedTree) it
 	// uses by default. Pruned and full trees yield the same routes (the
 	// §II-B claim, verified by the test suite); the toggle exists for
-	// ablations. Ignored on the hierarchy backends.
+	// ablations. Ignored on TreeCH.
 	DisablePrunedTrees bool
 	// ApplyUpperBoundToPenalty additionally filters Penalty routes by the
 	// upper bound — one of the "easily included" refinements of §IV-C.

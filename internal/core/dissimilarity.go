@@ -24,8 +24,8 @@ import (
 // assembled from tree pointers, which keeps the approximation fast enough
 // for interactive use (the exact problem is NP-hard). The trees come from
 // the same weight provider as Plateaus' (TreeSource): full Dijkstra
-// searches on TreeDijkstra, PHAST or RPHAST sweeps on the CH backends,
-// with the same per-version hierarchy double-buffering. The candidate
+// searches on TreeDijkstra, full PHAST sweeps on TreeCH, with the same
+// per-version hierarchy double-buffering. The candidate
 // scan rejects via-paths on pooled marks — node stamps for simplicity, a
 // used-segment mark for the union share — before any path is built, so
 // only admitted routes allocate.
@@ -53,8 +53,7 @@ func NewDissimilarity(g *graph.Graph, opts Options) *Dissimilarity {
 
 // NewDissimilarityFor returns a Dissimilarity planner sharing an existing
 // Plateaus planner's options and weight provider: same views, same
-// hierarchy, same selection cache, so one customization per publish
-// serves both planners and the same pair's selection is built once. The
+// hierarchy, so one customization per publish serves both planners. The
 // shared provider keeps reporting its hierarchy status and customization
 // metrics under Plateaus alone.
 func NewDissimilarityFor(p *Plateaus) *Dissimilarity {

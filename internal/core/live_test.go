@@ -428,12 +428,11 @@ func TestRouterResponseVersionConsistency(t *testing.T) {
 // --- Restricted-sweep selection invalidation ---------------------------------
 
 // TestRestrictedSelectionInvalidatedOnPublish guards the RPHAST
-// selection-reuse bug class: the per-(s,t) cached target-subgraph
-// selection must not survive a weight publish. A stale selection would
-// either index the superseded tree builder's arcs (loud: the ch guard
-// panics) or silently restrict the sweep to the old metric's ellipse; in
-// both cases the post-swap routes would diverge from a planner built
-// fresh at the new snapshot.
+// selection-reuse bug class: the matrix engine's cached target selection
+// must not survive a weight publish. A stale selection indexes the
+// superseded tree builder's arcs — loud when the ch guard catches it, a
+// silently wrong sweep otherwise — so the post-swap table must equal
+// Dijkstra at the new snapshot, computed on a freshly built selection.
 func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 	g := randomRoadNetwork(17, 150)
 	cases := []struct {
@@ -442,10 +441,9 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 		next  func(rng *rand.Rand, banned []graph.EdgeID) []float64
 		ban   bool
 	}{
-		// Uniform scaling leaves the elliptic target set unchanged (the
-		// fastest time and the seconds-per-meter bound scale together), so
-		// only the builder-mismatch panic would catch a stale selection
-		// object carried across the customization.
+		// Uniform scaling leaves every shortest path unchanged, so only
+		// the builder-mismatch guard would catch a stale selection object
+		// carried across the customization.
 		{"cch-uniform", HierarchyCCH, func(_ *rand.Rand, _ []graph.EdgeID) []float64 {
 			next := make([]float64, len(g.BaseWeights()))
 			for i, w := range g.BaseWeights() {
@@ -454,8 +452,7 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 			return next
 		}, false},
 		// Arbitrary perturbation + closures: CCH customization stays
-		// exact, and the ellipse genuinely moves, so reusing the old
-		// membership would change route sets.
+		// exact, and the shortest paths genuinely move.
 		{"cch-perturbed-banned", HierarchyCCH, func(rng *rand.Rand, _ []graph.EdgeID) []float64 {
 			next := make([]float64, len(g.BaseWeights()))
 			for i, w := range g.BaseWeights() {
@@ -467,14 +464,21 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			store := weights.NewStore(g.BaseWeights())
-			pl := NewPlateaus(g, Options{TreeBackend: TreeCHRestricted, Hierarchy: tc.hkind, Weights: store})
+			pl := NewPlateaus(g, Options{TreeBackend: TreeCH, Hierarchy: tc.hkind, Weights: store})
 			router := NewRouter(NewEngine(1), []Planner{pl}, store)
+			m := NewMatrixEngineFor(pl, router.Engine())
+			sources := sampleNodes(g, 4, 23)
+			targets := clusteredTargets(t, g, 4)
 
-			s, dst, firstRoute := banFastestRoute(t, g, pl, 23)
-			// Prime the (s,t) selection cache under version 1.
-			if _, _, err := pl.AlternativesVersioned(s, dst); err != nil {
+			// Prime the target selection under version 1.
+			tab, err := m.Matrix(sources, targets)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if !tab.Restricted {
+				t.Fatalf("clustered targets ran full sweeps; the test is about cached selections")
+			}
+			_, _, firstRoute := banFastestRoute(t, g, pl, 23)
 
 			rng := rand.New(rand.NewSource(55))
 			if tc.ban {
@@ -483,55 +487,49 @@ func TestRestrictedSelectionInvalidatedOnPublish(t *testing.T) {
 			store.Publish(tc.next(rng, firstRoute))
 			router.Sync()
 
-			fresh := NewPlateaus(g, Options{TreeBackend: TreeCHRestricted, Hierarchy: tc.hkind, Weights: store.Latest()})
-			truth := NewPlateaus(g, Options{Weights: store.Latest()})
-			got, err1 := pl.Alternatives(s, dst)
-			want, err2 := fresh.Alternatives(s, dst)
-			base, err3 := truth.Alternatives(s, dst)
-			if (err1 == nil) != (err2 == nil) || (err1 == nil) != (err3 == nil) {
-				t.Fatalf("error mismatch after publish: %v / %v / %v", err1, err2, err3)
+			tab, err = m.Matrix(sources, targets)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err1 != nil {
-				return
+			if tab.Version != store.Version() {
+				t.Fatalf("post-publish table at version %d, store at %d", tab.Version, store.Version())
 			}
-			if len(got) != len(want) || len(got) != len(base) {
-				t.Fatalf("route count %d after publish, fresh %d, dijkstra %d", len(got), len(want), len(base))
+			if tab.SelectionHit {
+				t.Fatal("post-publish table reused a selection cached under the previous version")
 			}
-			for i := range got {
-				if !path.Equal(got[i], want[i]) || !path.Equal(got[i], base[i]) {
-					t.Fatalf("route %d served off a stale selection after the publish", i)
-				}
-			}
+			requireTableEqual(t, tab, dijkstraMatrix(g, store.Latest().Weights(), sources, targets), "post-publish")
 		})
 	}
 }
 
-// --- Live-traffic soak: restricted sweeps under publish churn ----------------
+// --- Live-traffic soak: CH trees and restricted sweeps under publish churn --
 
-// TestLiveTrafficSoakRestrictedSweeps is the permanent safety net for
-// restricted sweeps (and every future backend) under live traffic: a
-// deterministic rush-hour publish loop races engine batches with RPHAST
-// backends on, and every answer must (a) carry a version the store
-// actually published, (b) never walk an edge banned in an earlier
-// version — the store re-applies the closure mask on every publish, and
-// the hierarchies must carry it through each customization — and (c)
-// never regress to an older version within one caller's sequence, which
-// is exactly what a result cache serving a stale generation would look
-// like. CI runs it under -race.
+// TestLiveTrafficSoakRestrictedSweeps is the permanent safety net for the
+// hierarchy backend (and every future one) under live traffic: a
+// deterministic rush-hour publish loop races engine batches on TreeCH
+// planners and RPHAST matrix tables on Plateaus' provider. Every planner
+// answer must (a) carry a version the store actually published, (b)
+// never walk an edge banned in an earlier version — the store re-applies
+// the closure mask on every publish, and the hierarchies must carry it
+// through each customization — and (c) never regress to an older version
+// within one caller's sequence, which is exactly what a result cache
+// serving a stale generation would look like. Every table must carry a
+// published version, never regress, and run restricted. CI runs it under
+// -race.
 func TestLiveTrafficSoakRestrictedSweeps(t *testing.T) {
 	g := randomRoadNetwork(61, 140)
 	pubStore := weights.NewStore(g.BaseWeights())
 	seq := traffic.NewSequence(g, traffic.DefaultModel(7), 8)
 	privStore := weights.NewStore(seq.WeightsAt(0))
 
-	plateaus := NewPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCHRestricted, Hierarchy: HierarchyCCH})
+	plateaus := NewPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCH, Hierarchy: HierarchyCCH})
 	planners := []Planner{
 		plateaus,
-		NewPrunedPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCHAuto, Hierarchy: HierarchyCCH}),
+		NewPrunedPlateaus(g, Options{Weights: pubStore, TreeBackend: TreeCH, Hierarchy: HierarchyCCH}),
 		NewDissimilarity(g, Options{Weights: pubStore}),
-		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCHRestricted, Hierarchy: HierarchyCCH}),
-		// Shares plateaus' provider: its queries race the same views,
-		// selection cache and background customizations.
+		NewCommercial(g, nil, Options{Weights: privStore, TreeBackend: TreeCH, Hierarchy: HierarchyCCH}),
+		// Shares plateaus' provider: its queries race the same views and
+		// background customizations.
 		NewDissimilarityFor(plateaus),
 	}
 	storeOf := map[Planner]*weights.Store{
@@ -540,6 +538,9 @@ func TestLiveTrafficSoakRestrictedSweeps(t *testing.T) {
 	}
 	engine := NewEngine(4)
 	router := NewRouter(engine, planners, pubStore, privStore)
+	matrix := NewMatrixEngineFor(plateaus, engine)
+	mSources := sampleNodes(g, 3, 61)
+	mTargets := clusteredTargets(t, g, 3)
 
 	// Close the fastest route's edges on both metrics before the churn
 	// starts: every raced answer is computed at a post-ban version and
@@ -572,6 +573,25 @@ func TestLiveTrafficSoakRestrictedSweeps(t *testing.T) {
 	}()
 
 	var qwg sync.WaitGroup
+	qwg.Add(1)
+	go func() { // matrix tables on the shared provider
+		defer qwg.Done()
+		var last weights.Version
+		for round := 0; round < 8; round++ {
+			tab, err := matrix.Matrix(mSources, mTargets)
+			if err != nil {
+				t.Errorf("matrix under churn: %v", err)
+				return
+			}
+			if tab.Version < 2 || tab.Version > pubStore.Version() || tab.Version < last {
+				t.Errorf("matrix table at version %d (previous %d, store at %d)", tab.Version, last, pubStore.Version())
+			}
+			last = tab.Version
+			if !tab.Restricted {
+				t.Errorf("clustered matrix table ran full sweeps at version %d", tab.Version)
+			}
+		}
+	}()
 	for worker := 0; worker < 3; worker++ {
 		qwg.Add(1)
 		go func(seed int64) {
@@ -626,11 +646,17 @@ func TestLiveTrafficSoakRestrictedSweeps(t *testing.T) {
 	wg.Wait()
 	router.Sync()
 
-	// Steady state: the restricted planners agree byte-for-byte with
-	// fresh Dijkstra planners pinned at the final snapshot.
+	// Steady state: the hierarchy planners agree byte-for-byte with fresh
+	// Dijkstra planners pinned at the final snapshot, and the matrix
+	// engine with Dijkstra trees.
 	fresh := NewPlateaus(g, Options{Weights: pubStore.Latest()})
 	comparePlannersExact(t, fresh, plateaus, g, 6, 13)
 	comparePlannersExact(t, NewDissimilarity(g, Options{Weights: pubStore.Latest()}), planners[4], g, 6, 13)
+	tab, err := matrix.Matrix(mSources, mTargets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTableEqual(t, tab, dijkstraMatrix(g, pubStore.Latest().Weights(), mSources, mTargets), "steady-state matrix")
 	if v := plateaus.WeightsVersion(); v != pubStore.Version() {
 		t.Fatalf("post-sync version %d != store version %d", v, pubStore.Version())
 	}

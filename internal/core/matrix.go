@@ -26,10 +26,10 @@ type Table struct {
 	Seconds []float64
 	Version weights.Version
 	// SelectionTargets is the size of the shared target selection the
-	// sweeps ran on (0 on non-hierarchy backends); SelectionHit reports
-	// whether it came out of the selection cache; Restricted reports
-	// whether the sweeps actually ran restricted (false: full sweeps, via
-	// the auto cutover or a non-restricted backend).
+	// sweeps ran on (0 on TreeDijkstra); SelectionHit reports whether it
+	// came out of the selection cache; Restricted reports whether the
+	// sweeps actually ran restricted (false: full sweeps, past the
+	// RestrictedAutoFraction cutover or on TreeDijkstra).
 	SelectionTargets int
 	SelectionHit     bool
 	Restricted       bool
@@ -38,15 +38,16 @@ type Table struct {
 // At returns the travel time from Sources[i] to Targets[j] in seconds.
 func (t *Table) At(i, j int) float64 { return t.Seconds[i*len(t.Targets)+j] }
 
-// MatrixEngine computes many-to-many travel-time tables. On a restricted
-// hierarchy backend it is the RPHAST batch scheme the selection phase
-// exists for: ONE shared selection covering the target set (cached by
-// cell signature, like point-to-point selections), then one restricted
-// forward sweep per source fanned over the serving Engine's worker pool —
-// k sweeps and at most one Select instead of the k×k tree pairs of
-// independent point-to-point queries. Distances are exact (byte-identical
-// to per-pair Dijkstra); on non-hierarchy backends the engine falls back
-// to one full Dijkstra tree per source.
+// MatrixEngine computes many-to-many travel-time tables. On TreeCH it is
+// the RPHAST batch scheme the selection phase exists for: ONE shared
+// selection covering the target set (cached by cell signature per weight
+// version), then one restricted forward sweep per source fanned over the
+// serving Engine's worker pool — k sweeps and at most one Select instead
+// of the k×k tree pairs of independent point-to-point queries. Target
+// sets spread over more than RestrictedAutoFraction of the graph run full
+// PHAST sweeps instead. Distances are exact (equal to per-pair Dijkstra
+// within the hierarchy's last-ulp tolerance); on TreeDijkstra the engine
+// runs one full Dijkstra tree per source.
 //
 // A MatrixEngine is safe for concurrent use; per-call state lives in
 // pooled scratch, so a warm engine computes tables with zero steady-state
@@ -61,8 +62,8 @@ type MatrixEngine struct {
 
 // NewMatrixEngine builds a standalone matrix engine over g. Options are
 // interpreted as for NewPlateaus (weights source, tree backend,
-// hierarchy customization, selection-cache budget); eng bounds the sweep
-// fan-out and may be nil for unbounded inline execution.
+// hierarchy customization and order); eng bounds the sweep fan-out and
+// may be nil for unbounded inline execution.
 func NewMatrixEngine(g *graph.Graph, opts Options, eng *Engine) *MatrixEngine {
 	opts = opts.withDefaults()
 	return &MatrixEngine{
@@ -101,8 +102,8 @@ func (m *MatrixEngine) SetMetrics(b *Metrics) { m.metrics.Store(b) }
 // pointer instead of forcing per-call heap state.
 type rowBuilder struct {
 	g       *graph.Graph
-	w       []float64       // Dijkstra-fallback weights (nil on hierarchy backends)
-	tb      *ch.TreeBuilder // hierarchy sweeps (nil on Dijkstra fallback)
+	w       []float64       // Dijkstra weights (nil on TreeCH)
+	tb      *ch.TreeBuilder // hierarchy sweeps (nil on TreeDijkstra)
 	sel     *ch.Selection   // restricted sweeps (nil: full sweeps)
 	sources []graph.NodeID
 	targets []graph.NodeID
@@ -161,23 +162,18 @@ func (m *MatrixEngine) MatrixInto(tab *Table, sources, targets []graph.NodeID) e
 	rb := rowBuilderPool.Get().(*rowBuilder)
 	rb.g, rb.sources, rb.targets, rb.seconds = m.g, tab.Sources, tab.Targets, tab.Seconds
 
-	switch tr := unwrapTrees(v.trees).(type) {
-	case *restrictedTrees:
-		e, hit := tr.selectTargets(tab.Targets)
-		rb.tb, rb.sel = tr.tb, e.sel
+	if sels := v.sels; sels != nil {
+		e, hit := sels.forTargets(tab.Targets)
+		rb.tb, rb.sel = sels.tb, e.sel
 		if e.sel != nil && !e.sel.Covers(tab.Targets) {
 			// Defensive: a selection that does not cover every target must
 			// never produce a table; select the targets directly instead.
-			rb.sel = tr.tb.Select(tab.Targets, nil)
+			rb.sel = sels.tb.Select(tab.Targets, nil)
 		}
 		tab.SelectionTargets = e.targets
 		tab.SelectionHit = hit
 		tab.Restricted = rb.sel != nil
-	case chTrees:
-		rb.tb = tr.tb
-	case dijkstraTrees:
-		rb.w = tr.weights
-	default:
+	} else {
 		rb.w = v.snap.Weights()
 	}
 
@@ -212,19 +208,10 @@ func (m *MatrixEngine) MatrixInto(tab *Table, sources, targets []graph.NodeID) e
 // point-to-point tree-pair queries through the planner's own tree source
 // — the k² baseline the matrix engine amortizes away. Exposed for the
 // eval ablations and benchmarks that quantify the amortization.
-//
-// On a restricted CCH backend with the elimination-tree engine the k
-// fastest-time bounds of each target column are batched through one
-// shared backward ascent (AscentDists) instead of k independent
-// bidirectional searches; the resulting cells are bit-identical either
-// way, since bounds only seed the restricted selections.
 func (m *MatrixEngine) MatrixPairwise(tab *Table, sources, targets []graph.NodeID) error {
 	v, err := m.prepare(tab, sources, targets)
 	if err != nil {
 		return err
-	}
-	if rt, ok := unwrapTrees(v.trees).(*restrictedTrees); ok && m.pairwiseBatchedBounds(tab, rt) {
-		return nil
 	}
 	ws := sp.GetWorkspace()
 	defer ws.Release()
@@ -245,39 +232,6 @@ func (m *MatrixEngine) MatrixPairwise(tab *Table, sources, targets []graph.NodeI
 		}
 	}
 	return nil
-}
-
-// pairwiseBatchedBounds runs the column-batched variant of MatrixPairwise:
-// for each target, one multi-source elimination-tree ascent yields every
-// source's fastest-time bound, and each cell is then filled by the same
-// bounded tree-pair build the per-pair path would have run. Reports false
-// when the runtime declines the batched ascent (the bidirectional engine
-// does so before any cell is written: the capability is constant per
-// runtime), so the caller can fall back.
-func (m *MatrixEngine) pairwiseBatchedBounds(tab *Table, rt *restrictedTrees) bool {
-	bounds := make([]float64, len(tab.Sources))
-	ws := sp.GetWorkspace()
-	defer ws.Release()
-	inf := math.Inf(1)
-	for j, t := range tab.Targets {
-		if !rt.hier.AscentDists(tab.Sources, t, bounds) {
-			return false
-		}
-		for i, s := range tab.Sources {
-			cell := &tab.Seconds[i*len(tab.Targets)+j]
-			if s == t {
-				*cell = 0
-				continue
-			}
-			fwd, _, ok := rt.buildTreesBounded(ws, s, t, bounds[i])
-			if !ok {
-				*cell = inf
-				continue
-			}
-			*cell = fwd.Dist[t]
-		}
-	}
-	return true
 }
 
 // prepare validates the endpoints, resolves the single weight view of the
@@ -309,13 +263,4 @@ func (m *MatrixEngine) prepare(tab *Table, sources, targets []graph.NodeID) (*vi
 	tab.Version = v.snap.Version()
 	tab.SelectionTargets, tab.SelectionHit, tab.Restricted = 0, false, false
 	return v, nil
-}
-
-// unwrapTrees strips the counting decoration so the matrix engine can
-// reach the underlying backend-specific source.
-func unwrapTrees(src TreeSource) TreeSource {
-	if ct, ok := src.(*countingTrees); ok {
-		return ct.src
-	}
-	return src
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/sp"
+	"repro/internal/spatial"
 	"repro/internal/weights"
 )
 
@@ -91,80 +92,140 @@ func requireTableBitEqual(t *testing.T, tab *Table, ref []float64, label string)
 	}
 }
 
+// clusteredTargets returns k nodes of the most populated cell of the
+// matrix engine's spatial grid: a target set whose cell union stays far
+// below RestrictedAutoFraction, so its tables run restricted sweeps.
+func clusteredTargets(t *testing.T, g *graph.Graph, k int) []graph.NodeID {
+	t.Helper()
+	idx := spatial.NewIndex(g, 0)
+	best := 0
+	for c := 1; c < idx.NumCells(); c++ {
+		if len(idx.CellNodes(c)) > len(idx.CellNodes(best)) {
+			best = c
+		}
+	}
+	nodes := idx.CellNodes(best)
+	if len(nodes) < k {
+		t.Fatalf("densest cell holds %d nodes, want %d", len(nodes), k)
+	}
+	return append([]graph.NodeID(nil), nodes[:k]...)
+}
+
+// spreadTargets returns one node from each of the first non-empty grid
+// cells, taking cells until their union holds more than
+// RestrictedAutoFraction of the graph: a target set whose tables cross
+// the cutover and run full sweeps.
+func spreadTargets(g *graph.Graph) []graph.NodeID {
+	idx := spatial.NewIndex(g, 0)
+	var out []graph.NodeID
+	covered := 0
+	for c := 0; c < idx.NumCells() && float64(covered) <= RestrictedAutoFraction*float64(g.NumNodes()); c++ {
+		if nodes := idx.CellNodes(c); len(nodes) > 0 {
+			out = append(out, nodes[0])
+			covered += len(nodes)
+		}
+	}
+	return out
+}
+
 // TestMatrixExactness is the many-to-many correctness pin: on seeded
 // tie-free networks under perturbed + banned snapshots, every backend ×
-// hierarchy flavor must produce tables byte-identical to k² independent
-// Dijkstra trees. This is the RPHAST exactness theorem applied to matrix
-// rows — a shared selection covering the target set loses no distance at
-// any requested target from any root.
+// hierarchy flavor × query engine must produce tables equal to k²
+// independent Dijkstra trees, on both sides of the RPHAST cutover —
+// clustered targets run restricted sweeps over a shared selection,
+// spread targets full PHAST sweeps. This is the RPHAST exactness theorem applied to matrix rows: a
+// shared selection covering the target set loses no distance at any
+// requested target from any root.
 func TestMatrixExactness(t *testing.T) {
 	type config struct {
-		name    string
-		backend TreeBackend
-		hkind   HierarchyKind
-		query   QueryEngine
+		name  string
+		trees string // -trees spelling, resolved by ParseTreeBackend
+		hkind HierarchyKind
+		query QueryEngine
 	}
-	// The CCH rows run under both point-to-point query engines: elimtree
-	// routes MatrixPairwise through the batched multi-source ascent,
-	// bidij through per-pair bidirectional searches — and the tables must
-	// come out byte-identical either way (the bounds only gate selection;
-	// cells come from the sweeps).
+	// Rows are keyed by -trees spelling like TestBackendMatrix: the
+	// legacy ch-restricted and ch-auto spellings must serve the same
+	// exact tables as ch. The bidij rows pin the point-to-point query
+	// engine as invisible in the output: each bidij table is compared
+	// bit-for-bit against its elimtree sibling (which ran just before
+	// it in config order).
 	configs := []config{
-		{"dijkstra", TreeDijkstra, HierarchyCCH, QueryElimTree},
-		{"ch/cch", TreeCH, HierarchyCCH, QueryElimTree},
-		{"ch-restricted/cch", TreeCHRestricted, HierarchyCCH, QueryElimTree},
-		{"ch-restricted/cch/bidij", TreeCHRestricted, HierarchyCCH, QueryBidij},
-		{"ch-restricted/cch-perfect", TreeCHRestricted, HierarchyCCHPerfect, QueryElimTree},
-		{"ch-restricted/cch-perfect/bidij", TreeCHRestricted, HierarchyCCHPerfect, QueryBidij},
-		{"ch-auto/cch", TreeCHAuto, HierarchyCCH, QueryElimTree},
+		{"dijkstra", "dijkstra", HierarchyCCH, QueryElimTree},
+		{"ch/cch", "ch", HierarchyCCH, QueryElimTree},
+		{"ch/cch-perfect", "ch", HierarchyCCHPerfect, QueryElimTree},
+		{"ch-restricted/cch", "ch-restricted", HierarchyCCH, QueryElimTree},
+		{"ch-restricted/cch/bidij", "ch-restricted", HierarchyCCH, QueryBidij},
+		{"ch-restricted/cch-perfect", "ch-restricted", HierarchyCCHPerfect, QueryElimTree},
+		{"ch-restricted/cch-perfect/bidij", "ch-restricted", HierarchyCCHPerfect, QueryBidij},
+		{"ch-auto/cch", "ch-auto", HierarchyCCH, QueryElimTree},
 	}
 	for _, netSeed := range []int64{7, 19} {
 		g := randomRoadNetwork(netSeed, 160)
 		snap := closureSnapshot(g, netSeed+100)
 		sources := sampleNodes(g, 6, netSeed+1)
-		targets := sampleNodes(g, 5, netSeed+2)
-		ref := dijkstraMatrix(g, snap.Weights(), sources, targets)
+		targetSets := []struct {
+			name       string
+			targets    []graph.NodeID
+			restricted bool
+		}{
+			{"clustered", clusteredTargets(t, g, 5), true},
+			{"spread", spreadTargets(g), false},
+		}
 		tables := map[string][]float64{}
 		for _, cfg := range configs {
 			t.Run(fmt.Sprintf("net%d/%s", netSeed, cfg.name), func(t *testing.T) {
+				backend, err := ParseTreeBackend(cfg.trees)
+				if err != nil {
+					t.Fatal(err)
+				}
 				m := NewMatrixEngine(g, Options{
 					Weights:     snap,
-					TreeBackend: cfg.backend,
+					TreeBackend: backend,
 					Hierarchy:   cfg.hkind,
 					Query:       cfg.query,
 				}, NewEngine(2))
-				// Two passes: the second runs on a warm selection cache, so
-				// a hit must be just as exact as the miss that built it.
-				var last *Table
-				for pass := 0; pass < 2; pass++ {
-					tab, err := m.Matrix(sources, targets)
-					if err != nil {
-						t.Fatalf("pass %d: %v", pass, err)
+				for _, ts := range targetSets {
+					ref := dijkstraMatrix(g, snap.Weights(), sources, ts.targets)
+					// Two passes: the second runs on a warm selection cache, so
+					// a hit must be just as exact as the miss that built it.
+					var last *Table
+					for pass := 0; pass < 2; pass++ {
+						label := fmt.Sprintf("%s pass %d", ts.name, pass)
+						tab, err := m.Matrix(sources, ts.targets)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if backend == TreeDijkstra {
+							requireTableBitEqual(t, tab, ref, label)
+						} else {
+							requireTableEqual(t, tab, ref, label)
+							if tab.Restricted != ts.restricted {
+								t.Fatalf("%s: Restricted = %v (selection %d of %d nodes), want %v",
+									label, tab.Restricted, tab.SelectionTargets, g.NumNodes(), ts.restricted)
+							}
+						}
+						if tab.Version != snap.Version() {
+							t.Fatalf("%s: table version %d, snapshot %d", label, tab.Version, snap.Version())
+						}
+						last = tab
 					}
-					if cfg.backend == TreeDijkstra {
-						requireTableBitEqual(t, tab, ref, fmt.Sprintf("pass %d", pass))
-					} else {
-						requireTableEqual(t, tab, ref, fmt.Sprintf("pass %d", pass))
+					// The k² point-to-point baseline through the same backend
+					// must agree bit-for-bit: the shared selection loses nothing
+					// versus independent per-pair tree pairs.
+					var pw Table
+					if err := m.MatrixPairwise(&pw, sources, ts.targets); err != nil {
+						t.Fatal(err)
 					}
-					if tab.Version != snap.Version() {
-						t.Fatalf("pass %d: table version %d, snapshot %d", pass, tab.Version, snap.Version())
+					requireTableBitEqual(t, &pw, last.Seconds, ts.name+" pairwise-vs-matrix")
+					key := cfg.name + "/" + ts.name
+					tables[key] = append([]float64(nil), last.Seconds...)
+					if cfg.query == QueryBidij {
+						sibling, ok := tables[strings.TrimSuffix(cfg.name, "/bidij")+"/"+ts.name]
+						if !ok {
+							t.Fatalf("%s: no elimtree sibling table", key)
+						}
+						requireTableBitEqual(t, last, sibling, ts.name+" bidij-vs-elimtree")
 					}
-					last = tab
-				}
-				// The k² point-to-point baseline through the same backend
-				// must agree bit-for-bit: the shared selection loses nothing
-				// versus independent per-pair queries.
-				var pw Table
-				if err := m.MatrixPairwise(&pw, sources, targets); err != nil {
-					t.Fatal(err)
-				}
-				requireTableBitEqual(t, &pw, last.Seconds, "pairwise-vs-matrix")
-				// Query engines must be invisible in the output: a bidij
-				// row's table is compared bit-for-bit against its elimtree
-				// sibling (which ran just before it in config order).
-				tables[cfg.name] = append([]float64(nil), last.Seconds...)
-				if sibling, ok := tables[strings.TrimSuffix(cfg.name, "/bidij")]; ok && cfg.query == QueryBidij {
-					requireTableBitEqual(t, last, sibling, "bidij-vs-elimtree")
 				}
 			})
 		}
@@ -175,9 +236,9 @@ func TestMatrixExactness(t *testing.T) {
 // is the corresponding matrix row.
 func TestOneToMany(t *testing.T) {
 	g := randomRoadNetwork(11, 140)
-	targets := sampleNodes(g, 8, 3)
+	targets := clusteredTargets(t, g, 6)
 	src := sampleNodes(g, 1, 4)[0]
-	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHRestricted}, nil)
+	m := NewMatrixEngine(g, Options{TreeBackend: TreeCH}, nil)
 	tab, err := m.OneToMany(src, targets)
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +248,22 @@ func TestOneToMany(t *testing.T) {
 	if len(tab.Sources) != 1 || tab.Sources[0] != src {
 		t.Fatalf("table sources = %v, want [%d]", tab.Sources, src)
 	}
-	if !tab.Restricted || tab.SelectionTargets == 0 {
-		t.Fatalf("restricted backend served Restricted=%v SelectionTargets=%d", tab.Restricted, tab.SelectionTargets)
+	if !tab.Restricted || tab.SelectionTargets == 0 || tab.SelectionHit {
+		t.Fatalf("clustered targets served Restricted=%v SelectionTargets=%d SelectionHit=%v",
+			tab.Restricted, tab.SelectionTargets, tab.SelectionHit)
+	}
+	// The same targets again: the selection comes out of the cache, and
+	// the provider's cumulative counters saw one miss, then one hit.
+	tab, err = m.OneToMany(src, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTableEqual(t, tab, ref, "one-to-many warm")
+	if !tab.SelectionHit {
+		t.Fatal("repeated target set missed the selection cache")
+	}
+	if st := m.HierarchyStatus(); st.SelectionHits != 1 || st.SelectionMisses != 1 {
+		t.Fatalf("selection counters hits=%d misses=%d, want 1/1", st.SelectionHits, st.SelectionMisses)
 	}
 }
 
@@ -198,7 +273,7 @@ func TestOneToMany(t *testing.T) {
 func TestMatrixSharesPlateausProvider(t *testing.T) {
 	g := randomRoadNetwork(13, 140)
 	store := weights.NewStore(g.BaseWeights())
-	p := NewPlateaus(g, Options{Weights: store, TreeBackend: TreeCHRestricted, Hierarchy: HierarchyCCH})
+	p := NewPlateaus(g, Options{Weights: store, TreeBackend: TreeCH, Hierarchy: HierarchyCCH})
 	m := NewMatrixEngineFor(p, nil)
 	sources := sampleNodes(g, 4, 5)
 	targets := sampleNodes(g, 4, 6)
@@ -261,9 +336,9 @@ func TestMatrixWarmZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	g := randomRoadNetwork(23, 160)
-	m := NewMatrixEngine(g, Options{TreeBackend: TreeCHRestricted}, NewEngine(1))
+	m := NewMatrixEngine(g, Options{TreeBackend: TreeCH}, NewEngine(1))
 	sources := sampleNodes(g, 4, 7)
-	targets := sampleNodes(g, 4, 8)
+	targets := clusteredTargets(t, g, 4)
 	var tab Table
 	if err := m.MatrixInto(&tab, sources, targets); err != nil {
 		t.Fatal(err)
@@ -306,11 +381,11 @@ func TestMatrixPublishSoak(t *testing.T) {
 
 	m := NewMatrixEngine(g, Options{
 		Weights:     store,
-		TreeBackend: TreeCHRestricted,
+		TreeBackend: TreeCH,
 		Hierarchy:   HierarchyCCH, // stays exact across all published metrics
 	}, NewEngine(2))
 	sources := sampleNodes(g, 3, 9)
-	targets := sampleNodes(g, 3, 10)
+	targets := clusteredTargets(t, g, 3)
 
 	const publishes = 8
 	const queriers = 3

@@ -2,15 +2,19 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ch"
+	"repro/internal/graph"
+	"repro/internal/metrics"
+	"repro/internal/spatial"
 )
 
-// DefaultSelectionCacheBytes is the total byte budget of one restricted
-// planner's selection cache when Options.SelectionCacheBytes is zero. A
-// city-scale selection retains tens to hundreds of kilobytes, so the
-// default holds on the order of a hundred warm cell unions.
-const DefaultSelectionCacheBytes = 32 << 20
+// selectionCacheBytes is the total byte budget of one weight version's
+// selection cache. A city-scale selection retains tens to hundreds of
+// kilobytes, so the budget holds on the order of a hundred warm cell
+// unions.
+const selectionCacheBytes = 32 << 20
 
 // selCacheShards is the shard count of the selection cache; must be a
 // power of two (the shard is picked by masking the signature hash).
@@ -28,7 +32,7 @@ const selEntryOverhead = 96
 type selEntry struct {
 	sig     []int32 // ascending cell ids, owned by the entry
 	hash    uint64
-	full    bool          // sweep everything: auto cutover or no usable bound
+	full    bool          // sweep everything: the RestrictedAutoFraction cutover
 	targets int           // distinct requested target nodes
 	sel     *ch.Selection // nil when full
 	bytes   int
@@ -45,14 +49,14 @@ type selShard struct {
 }
 
 // selectionCache is the size-bounded, sharded multi-entry selection cache
-// behind restrictedTrees: entries are keyed by cell signature (so every
-// query pair quantizing to the same cell union shares one Select), found
+// behind selections: entries are keyed by cell signature (so every
+// target set quantizing to the same cell union shares one Select), found
 // by exact signature match or by a covering probe (any entry whose cell
 // union contains the probe's cells serves it exactly — selections built
 // on supersets stay exact on the subset), and evicted clock-wise under a
 // per-shard byte budget. A cache instance lives and dies with one weight
-// version, preserving the stale-selection guarantees of the single-slot
-// design it replaces.
+// version: a selection indexes its tree builder's arcs, so it must never
+// serve another customization.
 type selectionCache struct {
 	perShard int // byte budget per shard; <= 0 degenerates to one entry per shard
 	stats    *selectionStats
@@ -60,12 +64,6 @@ type selectionCache struct {
 }
 
 func newSelectionCache(totalBytes int, stats *selectionStats) *selectionCache {
-	if totalBytes == 0 {
-		totalBytes = DefaultSelectionCacheBytes
-	}
-	if totalBytes < 0 {
-		totalBytes = 0
-	}
 	return &selectionCache{perShard: totalBytes / selCacheShards, stats: stats}
 }
 
@@ -114,8 +112,8 @@ func sigSuperset(sup, sub []int32) bool {
 // lookup returns a usable entry for the signature, or nil on a miss: the
 // exact entry in the signature's home shard first, then — across all
 // shards — any non-full entry whose cell union covers the probe's cells.
-// Full entries match only exactly (a long query's everything-marker must
-// not hijack short queries into full sweeps).
+// Full entries match only exactly (a spread target set's cutover marker
+// must not hijack clustered ones into full sweeps).
 func (c *selectionCache) lookup(sig []int32, hash uint64) *selEntry {
 	home := &c.shards[hash&(selCacheShards-1)]
 	home.mu.Lock()
@@ -143,7 +141,7 @@ func (c *selectionCache) lookup(sig []int32, hash uint64) *selEntry {
 }
 
 // insert adds e to its home shard and returns the canonical entry: when a
-// racing query inserted the same signature first, the existing entry wins
+// racing table inserted the same signature first, the existing entry wins
 // and e is discarded. The newcomer is never evicted by its own insertion;
 // older entries are clock-evicted until the shard fits its budget (or
 // only the newcomer remains).
@@ -176,9 +174,7 @@ func (c *selectionCache) insert(e *selEntry) *selEntry {
 		}
 		sh.bytes -= victim.bytes
 		sh.entries = append(sh.entries[:sh.hand], sh.entries[sh.hand+1:]...)
-		if c.stats != nil {
-			c.stats.selEvictions.Add(1)
-		}
+		c.stats.selEvictions.Add(1)
 	}
 	return e
 }
@@ -194,4 +190,118 @@ func (c *selectionCache) entryCount() int {
 		sh.mu.Unlock()
 	}
 	return n
+}
+
+// selectionStats is the selection observability of one provider, shared
+// by every weight version's selections (plain atomics, never reset on
+// weight swaps, so serving dashboards see monotone rates).
+type selectionStats struct {
+	selHits      atomic.Uint64
+	selMisses    atomic.Uint64
+	selEvictions atomic.Uint64
+	// selObs, when set, receives the size of every selection resolved
+	// (hits and misses both — it distributes what tables *ran on*, not
+	// what was built). Installed by Router.SetMetrics.
+	selObs atomic.Pointer[metrics.Histogram]
+}
+
+// selections is one weight version's RPHAST target-selection state, held
+// by the CH view beside its full-sweep trees and used only by the matrix
+// engine: a table's target set is quantized to the union of the targets'
+// spatial grid cells, the union's vertices — a superset of the targets,
+// so exactness is preserved — are selected once (ch.TreeBuilder.Select),
+// and the selection is cached by cell signature. Every table hitting the
+// same cells shares one Select; a covering probe additionally reuses any
+// selection whose union contains the table's cells. Unions beyond
+// RestrictedAutoFraction of the graph are cached as full-sweep markers
+// instead: there a selection costs more than the sweeps it saves.
+type selections struct {
+	g     *graph.Graph
+	tb    *ch.TreeBuilder
+	grid  *spatial.Index // geometry only: shared across weight versions
+	stats *selectionStats
+	cache *selectionCache
+	// scratch pools the per-table cell/target buffers (*selBuf), keeping
+	// the warm lookup path allocation-free.
+	scratch sync.Pool
+}
+
+// selBuf is the pooled per-table scratch of the selection-cache path.
+type selBuf struct {
+	cells   []int32
+	targets []graph.NodeID
+}
+
+func newSelections(g *graph.Graph, tb *ch.TreeBuilder, grid *spatial.Index, stats *selectionStats, cacheBytes int) *selections {
+	s := &selections{g: g, tb: tb, grid: grid, stats: stats, cache: newSelectionCache(cacheBytes, stats)}
+	s.scratch.New = func() any { return new(selBuf) }
+	return s
+}
+
+// forTargets resolves the selection entry covering an explicit target
+// set: look up the signature of the targets' cells, and on a miss select
+// the cell union's vertices (plus the targets, defensively — they are
+// cell members already) and insert. hit reports whether the entry came
+// out of the cache.
+func (s *selections) forTargets(targets []graph.NodeID) (e *selEntry, hit bool) {
+	sb := s.scratch.Get().(*selBuf)
+	defer s.scratch.Put(sb)
+	cells := sb.cells[:0]
+	for _, t := range targets {
+		cells = insertCellSorted(cells, int32(s.grid.CellOf(s.g.Point(t))))
+	}
+	sb.cells = cells
+	hash := sigHash(cells)
+	if e = s.cache.lookup(cells, hash); e != nil {
+		s.stats.selHits.Add(1)
+		s.observe(e)
+		return e, true
+	}
+	s.stats.selMisses.Add(1)
+	tgts := sb.targets[:0]
+	for _, c := range cells {
+		tgts = append(tgts, s.grid.CellNodes(int(c))...)
+	}
+	distinct := len(tgts)
+	tgts = append(tgts, targets...)
+	sb.targets = tgts
+	e = &selEntry{sig: append([]int32(nil), cells...), hash: hash}
+	if distinct > int(RestrictedAutoFraction*float64(s.g.NumNodes())) {
+		e.full = true
+		e.targets = distinct
+		e.bytes = 4*len(e.sig) + selEntryOverhead
+	} else {
+		e.sel = s.tb.Select(tgts, nil)
+		e.targets = e.sel.Targets()
+		e.bytes = e.sel.MemoryBytes() + 4*len(e.sig) + selEntryOverhead
+	}
+	s.observe(e)
+	return s.cache.insert(e), false
+}
+
+func (s *selections) observe(e *selEntry) {
+	if h := s.stats.selObs.Load(); h != nil {
+		h.Observe(float64(e.targets))
+	}
+}
+
+// insertCellSorted inserts c into the ascending slice cells unless
+// already present, in place (cells must have spare capacity or grow).
+func insertCellSorted(cells []int32, c int32) []int32 {
+	lo, hi := 0, len(cells)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cells[mid] < c {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(cells) && cells[lo] == c {
+		return cells
+	}
+	cells = append(cells, 0)
+	copy(cells[lo+1:], cells[lo:])
+	cells[lo] = c
+	return cells
 }

@@ -1,78 +1,78 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/spatial"
+	"repro/internal/weights"
 )
 
-// findConnectedPairs samples distinct connected query pairs on g using a
-// Dijkstra-backed probe planner, so tests exercising the restricted
-// backends can pick their hot pairs without touching the selection stats
-// under test.
-func findConnectedPairs(t *testing.T, g *graph.Graph, want int, seed int64) [][2]graph.NodeID {
+// cellTargetSets returns up to want disjoint single-cell target sets of
+// the matrix engine's spatial grid (two nodes from each of the densest
+// cells, in cell order), so every set has its own cell signature and
+// stays far below the RPHAST cutover.
+func cellTargetSets(t *testing.T, g *graph.Graph, want int) [][]graph.NodeID {
 	t.Helper()
-	probe := NewPlateaus(g, Options{})
-	rng := rand.New(rand.NewSource(seed))
-	var pairs [][2]graph.NodeID
-	for attempts := 0; len(pairs) < want; attempts++ {
-		if attempts > want*100 {
-			t.Fatalf("could not sample %d connected pairs", want)
+	idx := spatial.NewIndex(g, 0)
+	var sets [][]graph.NodeID
+	for c := 0; c < idx.NumCells() && len(sets) < want; c++ {
+		if nodes := idx.CellNodes(c); len(nodes) >= 2 {
+			sets = append(sets, []graph.NodeID{nodes[0], nodes[1]})
 		}
-		s := graph.NodeID(rng.Intn(g.NumNodes()))
-		d := graph.NodeID(rng.Intn(g.NumNodes()))
-		if s == d {
-			continue
-		}
-		dup := false
-		for _, p := range pairs {
-			if p == [2]graph.NodeID{s, d} {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		if _, err := probe.Alternatives(s, d); err != nil {
-			continue
-		}
-		pairs = append(pairs, [2]graph.NodeID{s, d})
 	}
-	return pairs
+	if len(sets) < want {
+		t.Fatalf("only %d cells hold two nodes, want %d", len(sets), want)
+	}
+	return sets
+}
+
+// newMatrixEngineBudget is NewMatrixEngine with an explicit per-version
+// selection-cache byte budget (≤ 0: one entry per shard). The budget
+// applies from the next weight version on, so the engine plans on a
+// store and republishes once to install a view built under it.
+func newMatrixEngineBudget(g *graph.Graph, cacheBytes int) *MatrixEngine {
+	store := weights.NewStore(g.BaseWeights())
+	m := NewMatrixEngine(g, Options{Weights: store, TreeBackend: TreeCH}, nil)
+	m.prov.selCacheBytes = cacheBytes
+	store.Publish(g.BaseWeights())
+	m.prov.refreshSync()
+	return m
 }
 
 // TestSelectionCacheAlternatingHotPairs pins the fix for the
-// selection-cache thrash bug: the old single-slot cache keyed by the
-// exact (s,t) pair let two alternating hot pairs evict each other
-// forever, so every query paid a full Select (this test asserted 0 hits
-// in 40 lookups when it pinned the bug). The multi-entry cache keys by
-// cell signature and holds both pairs' entries, so after each pair's
-// first miss every later query hits.
+// selection-cache thrash bug: a single-slot cache let two alternating hot
+// keys evict each other forever, so every lookup paid a full Select. The
+// multi-entry cache keys by cell signature and holds both target sets'
+// entries, so after each set's first miss every later table hits.
 func TestSelectionCacheAlternatingHotPairs(t *testing.T) {
 	g := randomRoadNetwork(42, 150)
-	pairs := findConnectedPairs(t, g, 2, 1)
-	p := NewPlateaus(g, Options{TreeBackend: TreeCHRestricted})
+	sets := cellTargetSets(t, g, 2)
+	sources := sampleNodes(g, 2, 1)
+	m := NewMatrixEngine(g, Options{TreeBackend: TreeCH}, nil)
 
 	const rounds = 20
+	var tab Table
 	for i := 0; i < rounds; i++ {
-		for _, q := range pairs {
-			if _, err := p.Alternatives(q[0], q[1]); err != nil {
-				t.Fatalf("query %d->%d: %v", q[0], q[1], err)
+		for _, targets := range sets {
+			if err := m.MatrixInto(&tab, sources, targets); err != nil {
+				t.Fatal(err)
+			}
+			if !tab.Restricted {
+				t.Fatalf("single-cell target set %v ran full sweeps", targets)
 			}
 		}
 	}
-	st := p.HierarchyStatus()
+	st := m.HierarchyStatus()
 	total := st.SelectionHits + st.SelectionMisses
 	if total != 2*rounds {
 		t.Fatalf("selection lookups = %d, want %d", total, 2*rounds)
 	}
 	if st.SelectionMisses > 2 {
-		t.Fatalf("alternating hot pairs: misses = %d, want at most one cold miss per pair (2)", st.SelectionMisses)
+		t.Fatalf("alternating hot target sets: misses = %d, want at most one cold miss per set (2)", st.SelectionMisses)
 	}
 	if rate := float64(st.SelectionHits) / float64(total); rate < 0.90 {
-		t.Fatalf("alternating hot pairs: hit rate = %.2f (hits=%d misses=%d), want > 0.90", rate, st.SelectionHits, st.SelectionMisses)
+		t.Fatalf("alternating hot target sets: hit rate = %.2f (hits=%d misses=%d), want > 0.90", rate, st.SelectionHits, st.SelectionMisses)
 	}
 	if st.SelectionEvictions != 0 {
 		t.Fatalf("two hot entries must fit the default budget; got %d evictions", st.SelectionEvictions)
@@ -80,53 +80,59 @@ func TestSelectionCacheAlternatingHotPairs(t *testing.T) {
 }
 
 // TestSelectionCacheEviction drives a degenerate one-entry-per-shard
-// budget (SelectionCacheBytes < 0) through many distinct query pairs and
-// checks the clock hand actually evicts: the entry count stays bounded by
-// the shard count while the eviction counter climbs.
+// budget through many distinct target sets and checks the clock hand
+// actually evicts: the entry count stays bounded by the shard count while
+// the eviction counter climbs.
 func TestSelectionCacheEviction(t *testing.T) {
 	g := randomRoadNetwork(43, 200)
-	pairs := findConnectedPairs(t, g, 12, 2)
-	p := NewPlateaus(g, Options{TreeBackend: TreeCHRestricted, SelectionCacheBytes: -1})
+	sets := cellTargetSets(t, g, 12)
+	sources := sampleNodes(g, 2, 2)
+	m := newMatrixEngineBudget(g, 0)
 
-	for _, q := range pairs {
-		if _, err := p.Alternatives(q[0], q[1]); err != nil {
-			t.Fatalf("query %d->%d: %v", q[0], q[1], err)
+	var tab Table
+	for _, targets := range sets {
+		if err := m.MatrixInto(&tab, sources, targets); err != nil {
+			t.Fatal(err)
 		}
 	}
-	st := p.HierarchyStatus()
-	tr, ok := unwrapTrees(p.prov.view().trees).(*restrictedTrees)
-	if !ok {
-		t.Fatalf("restricted backend did not yield *restrictedTrees")
+	st := m.HierarchyStatus()
+	if st.SelectionMisses != uint64(len(sets)) {
+		t.Fatalf("%d distinct single-cell sets produced %d misses", len(sets), st.SelectionMisses)
 	}
-	if n := tr.cache.entryCount(); n > selCacheShards {
+	if n := m.prov.view().sels.cache.entryCount(); n > selCacheShards {
 		t.Fatalf("degenerate budget holds %d entries, want <= %d (one per shard)", n, selCacheShards)
 	}
-	if st.SelectionEvictions == 0 && st.SelectionMisses > selCacheShards {
+	if st.SelectionEvictions == 0 {
 		t.Fatalf("%d misses on a one-entry-per-shard cache produced no evictions", st.SelectionMisses)
 	}
 }
 
-// TestSelectionCacheSupersetHit checks the covering probe: once a query's
-// cell union is cached, a second query whose union is a subset of it (and
-// whose endpoints lie inside) reuses the covering selection instead of
-// building its own.
+// TestSelectionCacheSupersetHit checks the covering probe: once a target
+// set's cell union is cached, a table whose targets lie in a subset of
+// those cells reuses the covering selection instead of building its own,
+// and its cells stay exact.
 func TestSelectionCacheSupersetHit(t *testing.T) {
 	g := randomRoadNetwork(44, 150)
-	pairs := findConnectedPairs(t, g, 6, 3)
-	p := NewPlateaus(g, Options{TreeBackend: TreeCHRestricted})
+	sets := cellTargetSets(t, g, 3)
+	union := append(append(append([]graph.NodeID(nil), sets[0]...), sets[1]...), sets[2]...)
+	sources := sampleNodes(g, 3, 3)
+	m := NewMatrixEngine(g, Options{TreeBackend: TreeCH}, nil)
 
-	// Warm the cache with every pair, then replay: every replayed query's
-	// signature is already resident (exact hit at worst), so the second
-	// sweep must be all hits.
-	for sweep := 0; sweep < 2; sweep++ {
-		for _, q := range pairs {
-			if _, err := p.Alternatives(q[0], q[1]); err != nil {
-				t.Fatalf("query %d->%d: %v", q[0], q[1], err)
-			}
-		}
+	if _, err := m.Matrix(sources, union); err != nil {
+		t.Fatal(err)
 	}
-	st := p.HierarchyStatus()
-	if st.SelectionHits < uint64(len(pairs)) {
-		t.Fatalf("replay sweep produced %d hits, want >= %d", st.SelectionHits, len(pairs))
+	for _, targets := range sets {
+		tab, err := m.Matrix(sources, targets[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tab.SelectionHit || !tab.Restricted {
+			t.Fatalf("subset target %v: SelectionHit=%v Restricted=%v, want a restricted hit on the covering union",
+				targets[:1], tab.SelectionHit, tab.Restricted)
+		}
+		requireTableEqual(t, tab, dijkstraMatrix(g, g.BaseWeights(), sources, targets[:1]), "superset hit")
+	}
+	if st := m.HierarchyStatus(); st.SelectionMisses != 1 {
+		t.Fatalf("subset tables built their own selections: %d misses, want 1", st.SelectionMisses)
 	}
 }

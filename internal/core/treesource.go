@@ -3,17 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cch"
 	"repro/internal/ch"
-	"repro/internal/geo"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/sp"
-	"repro/internal/spatial"
 	"repro/internal/weights"
 )
 
@@ -25,61 +20,41 @@ type TreeBackend uint8
 
 const (
 	// TreeDijkstra builds trees with full Dijkstra searches, the paper's
-	// baseline description of Choice Routing.
+	// baseline description of Choice Routing and the oracle every fast
+	// path is tested against.
 	TreeDijkstra TreeBackend = iota
-	// TreeCH builds trees from a contraction hierarchy with PHAST
-	// downward sweeps (ch.TreeBuilder) — the §II-B optimisation commercial
-	// engines apply. Trees are bit-compatible drop-ins for Dijkstra trees;
-	// the hierarchy is preprocessed once at planner construction.
+	// TreeCH builds trees from a customizable contraction hierarchy with
+	// full PHAST downward sweeps (ch.TreeBuilder) — the §II-B optimisation
+	// commercial engines apply. Trees are bit-compatible drop-ins for
+	// Dijkstra trees; the hierarchy is preprocessed once at planner
+	// construction and re-customized on every publish. The matrix engine
+	// on the same provider runs RPHAST restricted sweeps over cached
+	// target selections (see MatrixEngine).
 	TreeCH
-	// TreeCHRestricted is TreeCH with RPHAST restricted sweeps: per query
-	// an elliptic target region (the nodes able to lie on a route within
-	// UpperBound × the fastest time, by the admissible geometric bound) is
-	// quantized to a spatial cell union, the union's vertices are selected
-	// once, and both downward sweeps run only over the selection's upward
-	// closure. Route sets are identical to TreeCH; tree builds are
-	// sublinear for short queries. Selections are cached per cell
-	// signature in a size-bounded multi-entry cache (nearby pairs share
-	// one Select) and rebuilt — never reused — across weight versions.
-	TreeCHRestricted
-	// TreeCHAuto is TreeCHRestricted with a fallback: when the elliptic
-	// target set exceeds RestrictedAutoFraction of the graph (long queries,
-	// where selection overhead eats the sweep savings), the query runs
-	// full PHAST sweeps instead.
-	TreeCHAuto
 )
 
-// RestrictedAutoFraction is the TreeCHAuto cutover: restricted sweeps are
-// used while the elliptic target set stays at or below this fraction of
-// the graph's nodes.
+// RestrictedAutoFraction is the matrix engine's RPHAST cutover: a table
+// runs restricted sweeps while its target cells hold at most this
+// fraction of the graph's nodes, full PHAST sweeps beyond it.
 const RestrictedAutoFraction = 0.25
 
 // ParseTreeBackend maps the shared command-line flag spelling onto a
-// TreeBackend: "dijkstra", "ch", "ch-restricted" (alias "rphast") or
-// "ch-auto" (alias "auto").
+// TreeBackend: "dijkstra" or "ch". The retired spellings "ch-restricted",
+// "rphast", "ch-auto" and "auto" still parse, as "ch".
 func ParseTreeBackend(s string) (TreeBackend, error) {
 	switch s {
 	case "dijkstra":
 		return TreeDijkstra, nil
-	case "ch":
+	case "ch", "ch-restricted", "rphast", "ch-auto", "auto":
 		return TreeCH, nil
-	case "ch-restricted", "rphast":
-		return TreeCHRestricted, nil
-	case "ch-auto", "auto":
-		return TreeCHAuto, nil
 	}
-	return 0, fmt.Errorf("core: invalid tree backend %q (want dijkstra, ch, ch-restricted or ch-auto)", s)
+	return 0, fmt.Errorf("core: invalid tree backend %q (want dijkstra or ch)", s)
 }
 
 // String implements fmt.Stringer.
 func (b TreeBackend) String() string {
-	switch b {
-	case TreeCH:
+	if b == TreeCH {
 		return "ch"
-	case TreeCHRestricted:
-		return "ch-restricted"
-	case TreeCHAuto:
-		return "ch-auto"
 	}
 	return "dijkstra"
 }
@@ -87,12 +62,10 @@ func (b TreeBackend) String() string {
 // usesHierarchy reports whether the backend preprocesses a contraction
 // hierarchy (and therefore double-buffers weight swaps instead of
 // resolving snapshots inline).
-func (b TreeBackend) usesHierarchy() bool {
-	return b == TreeCH || b == TreeCHRestricted || b == TreeCHAuto
-}
+func (b TreeBackend) usesHierarchy() bool { return b == TreeCH }
 
 // HierarchyKind selects how the customizable contraction hierarchy behind
-// the CH tree backends is customized on every publish. Both kinds compile
+// the TreeCH backend is customized on every publish. Both kinds compile
 // to the same ch.Runtime, so every consumer downstream of preprocessing is
 // identical.
 type HierarchyKind uint8
@@ -149,9 +122,10 @@ const (
 func ParseOrderKind(s string) (OrderKind, error) { return cch.ParseOrderKind(s) }
 
 // QueryEngine selects the point-to-point distance engine behind the CCH
-// hierarchy's Dist/Path — the searches that seed every restricted
-// selection's elliptic bound and the matrix baseline. Both engines return
-// bit-identical distances.
+// hierarchy's Dist/Path. Both engines return bit-identical distances. No
+// serving path issues point-to-point hierarchy queries (planners and the
+// matrix engine sweep trees), so the choice shows only in the Elim*
+// counters of HierarchyStatus.
 type QueryEngine uint8
 
 const (
@@ -186,40 +160,26 @@ func (q QueryEngine) String() string {
 
 // HierarchyStatus is the serving-layer observability record of one
 // planner's hierarchy backend: which hierarchy answers queries right now,
-// how long the most recent (re)customization took, and — for restricted-
-// sweep backends — the most recent query's selection size and tree-pair
-// sweep time. Zero for planners not running on a hierarchy.
+// how long the most recent (re)customization took, and how the matrix
+// engine's target selections on it fared. Zero for planners not running
+// on a hierarchy.
 type HierarchyStatus struct {
 	Kind string
 	// Order is the contraction-order pipeline ("geometric" or "flow")
 	// behind the hierarchy; empty off hierarchy backends.
 	Order         string
 	LastCustomize time.Duration
-	// LastSelection is the elliptic target-set size of the most recent
-	// query on a restricted backend (0 off such backends); LastRestricted
-	// reports whether that query actually ran restricted sweeps (false:
-	// the auto mode fell back to full sweeps); LastSweep is the query's
-	// tree-pair build time, selection included when one was built.
-	LastSelection  int
-	LastRestricted bool
-	LastSweep      time.Duration
 	// SelectionHits / SelectionMisses count, cumulatively across weight
-	// versions, how many restricted queries reused a cached selection vs
-	// had to build one (a Select pass); SelectionEvictions counts entries
-	// dropped under the cache's byte budget. The hit rate is the headline
-	// amortization metric of the selection cache.
+	// versions, how many matrix tables reused a cached target selection
+	// vs had to build one (a Select pass); SelectionEvictions counts
+	// entries dropped under the cache's byte budget. The hit rate is the
+	// headline amortization metric of the selection cache.
 	SelectionHits      uint64
 	SelectionMisses    uint64
 	SelectionEvictions uint64
-	// LastUnionCells is the spatial cell-union size (number of grid cells)
-	// of the most recent query's selection signature; LastHit reports
-	// whether that query's selection came out of the cache.
-	LastUnionCells int
-	LastHit        bool
 	// LastQueryEngine names the point-to-point engine of the serving
 	// hierarchy ("elimtree" or "bidij"; empty off hierarchy backends).
-	// The Elim* counters are cumulative over the serving customization
-	// (they reset on a weight swap, like the selection entries):
+	// The Elim* counters are cumulative across weight swaps:
 	// ElimQueries point-to-point ascent queries, ElimTruncated of them
 	// abandoned early by the incumbent bound, ElimAscentNodes total
 	// processed ascent nodes (mean ascent = nodes/queries). LastAscent is
@@ -272,240 +232,6 @@ func (c chTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.T
 	}
 	bwd = c.tb.BuildTreeInto(ws, t, sp.Backward)
 	return fwd, bwd, true
-}
-
-// selectionStats is the concurrency-safe observability shared by every
-// weight version of one planner's restricted source (plain atomics, last
-// writer wins — the same discipline as treeCounts).
-type selectionStats struct {
-	lastSelection  atomic.Int64
-	lastRestricted atomic.Bool
-	lastSweepNS    atomic.Int64
-	lastUnion      atomic.Int64
-	lastHit        atomic.Bool
-	// Cumulative selection-cache counters (never reset on weight swaps, so
-	// serving dashboards see monotone rates).
-	selHits      atomic.Uint64
-	selMisses    atomic.Uint64
-	selEvictions atomic.Uint64
-	// selObs, when set, receives the size of every selection resolved
-	// (hits and misses both — it distributes what queries *ran on*, not
-	// what was built). Installed by Router.SetMetrics.
-	selObs atomic.Pointer[metrics.Histogram]
-}
-
-// restrictedTrees is the RPHAST source: the point-to-point hierarchy
-// query yields the fastest time, the admissible geometric bound
-// (geo.LowerBounder × the metric's minimum seconds-per-meter, the same
-// pair prunedTrees searches with) bounds the elliptic region of nodes
-// able to lie on a route within UpperBound × fastest, and both trees are
-// built with downward sweeps restricted to a selection covering that
-// region (ch.Selection). Distances on the ellipse equal the full sweep's,
-// so the plateau join yields byte-identical route sets; outside it the
-// trees are simply unreached, like an elliptically pruned Dijkstra tree.
-//
-// Selections are shared through a spatial quantization: the ellipse is
-// covered by a union of grid cells (spatial.Index.EllipseCells), the
-// union's vertices — a superset of the ellipse, so exactness is
-// preserved — are selected with ch.SelectUnion, and the result is cached
-// in a size-bounded multi-entry cache keyed by the cell signature. Every
-// pair quantizing to the same cell union (alternating hot pairs, nearby
-// endpoints) shares one Select; a covering cache probe additionally
-// reuses any selection whose union contains the query's cells. The
-// source, and with it every cached selection, lives and dies with one
-// weight version: the provider builds a fresh restrictedTrees per
-// customization, and ch.Selection's own builder guard panics if a stale
-// selection ever crossed over.
-type restrictedTrees struct {
-	g          *graph.Graph
-	hier       *ch.Runtime
-	tb         *ch.TreeBuilder
-	lb         geo.LowerBounder
-	scale      float64 // admissible seconds-per-meter lower bound; 0 disables selection
-	upperBound float64
-	auto       bool // fall back to full sweeps for large ellipses (TreeCHAuto)
-	stats      *selectionStats
-	grid       *spatial.Index
-	cache      *selectionCache
-	// fullAll is the shared everything-marker used when no admissible
-	// geometric bound exists (zero-length edges): every query sweeps the
-	// whole graph, no per-query state.
-	fullAll *selEntry
-	// scratch pools the per-query cell/target buffers (*selBuf), keeping
-	// the warm lookup path allocation-free.
-	scratch sync.Pool
-}
-
-// selBuf is the pooled per-query scratch of the selection-cache path.
-type selBuf struct {
-	cells   []int32
-	targets []graph.NodeID
-}
-
-func newRestrictedTrees(g *graph.Graph, hier *ch.Runtime, tb *ch.TreeBuilder, weights []float64, upperBound float64, auto bool, stats *selectionStats, grid *spatial.Index, cacheBytes int) *restrictedTrees {
-	if stats == nil {
-		stats = &selectionStats{}
-	}
-	if grid == nil {
-		grid = spatial.NewIndex(g, 0)
-	}
-	r := &restrictedTrees{
-		g:          g,
-		hier:       hier,
-		tb:         tb,
-		lb:         geo.NewLowerBounder(g.BBox()),
-		scale:      sp.MinSecondsPerMeter(g, weights),
-		upperBound: upperBound,
-		auto:       auto,
-		stats:      stats,
-		grid:       grid,
-		cache:      newSelectionCache(cacheBytes, stats),
-		fullAll:    &selEntry{full: true, targets: g.NumNodes()},
-	}
-	r.scratch.New = func() any { return new(selBuf) }
-	return r
-}
-
-func (r *restrictedTrees) BuildTrees(ws *sp.Workspace, s, t graph.NodeID) (fwd, bwd *sp.Tree, ok bool) {
-	// With the default query engine hier.Dist is the heap-free
-	// elimination-tree ascent, so a selection-cache hit no longer pays a priority-queue
-	// search for its elliptic bound.
-	return r.buildTreesBounded(ws, s, t, r.hier.Dist(s, t))
-}
-
-// buildTreesBounded is BuildTrees with the fastest-time bound already
-// computed — the batched entry point of MatrixPairwise, whose shared
-// multi-source ascent derives one column of bounds at a time.
-func (r *restrictedTrees) buildTreesBounded(ws *sp.Workspace, s, t graph.NodeID, fastest float64) (fwd, bwd *sp.Tree, ok bool) {
-	if math.IsInf(fastest, 1) {
-		return nil, nil, false
-	}
-	start := time.Now()
-	cs := r.entryForPair(s, t, fastest)
-	if cs.full {
-		fwd = r.tb.BuildTreeInto(ws, s, sp.Forward)
-		if !fwd.Reached(t) {
-			return fwd, nil, false
-		}
-		bwd = r.tb.BuildTreeInto(ws, t, sp.Backward)
-	} else {
-		fwd = r.tb.BuildTreeRestrictedInto(ws, s, sp.Forward, cs.sel)
-		if !fwd.Reached(t) {
-			return fwd, nil, false
-		}
-		bwd = r.tb.BuildTreeRestrictedInto(ws, t, sp.Backward, cs.sel)
-	}
-	r.stats.lastSelection.Store(int64(cs.targets))
-	r.stats.lastRestricted.Store(!cs.full)
-	r.stats.lastSweepNS.Store(int64(time.Since(start)))
-	return fwd, bwd, true
-}
-
-// entryForPair resolves the selection entry of one query pair: quantize
-// the pair's elliptic region — every node v with LB(s,v) + LB(v,t) within
-// (UpperBound × fastest) / scale; since scale·LB admissibly understates
-// true travel times, any node on any route within the budget, plateau
-// chains and tree paths included, lies inside it (the §II-B covering
-// argument) — to its covering cell union and look that signature up in
-// the cache, building the union's selection on a miss.
-func (r *restrictedTrees) entryForPair(s, t graph.NodeID, fastest float64) *selEntry {
-	if r.scale <= 0 {
-		// No admissible geometric bound (zero-length edges exist): every
-		// node may lie on a feasible route; sweep everything.
-		return r.fullAll
-	}
-	budget := r.upperBound * fastest / r.scale
-	sPt, tPt := r.g.Point(s), r.g.Point(t)
-	sb := r.scratch.Get().(*selBuf)
-	cells := r.grid.EllipseCells(sPt, tPt, budget, r.lb, sb.cells)
-	// The endpoints' cells satisfy the bound analytically; keep them in
-	// the signature even under adversarial float rounding.
-	cells = insertCellSorted(cells, int32(r.grid.CellOf(sPt)))
-	cells = insertCellSorted(cells, int32(r.grid.CellOf(tPt)))
-	sb.cells = cells
-	e, _ := r.entryForCells(sb, s, t)
-	r.scratch.Put(sb)
-	return e
-}
-
-// selectTargets resolves the selection entry covering an explicit target
-// set — the many-to-many entry point: the signature is the union of the
-// targets' cells, so one selection serves every source sweep of a matrix
-// batch and every batch hitting the same cells. hit reports whether the
-// entry came out of the cache.
-func (r *restrictedTrees) selectTargets(targets []graph.NodeID) (e *selEntry, hit bool) {
-	sb := r.scratch.Get().(*selBuf)
-	cells := sb.cells[:0]
-	for _, t := range targets {
-		cells = insertCellSorted(cells, int32(r.grid.CellOf(r.g.Point(t))))
-	}
-	sb.cells = cells
-	e, hit = r.entryForCells(sb, targets...)
-	r.scratch.Put(sb)
-	return e, hit
-}
-
-// entryForCells is the shared cache transaction: look up sb.cells'
-// signature, and on a miss select the cell union's vertices (plus the
-// must nodes, defensively — they are cell members already) and insert.
-// Hit/miss/union observability is recorded here.
-func (r *restrictedTrees) entryForCells(sb *selBuf, must ...graph.NodeID) (*selEntry, bool) {
-	cells := sb.cells
-	hash := sigHash(cells)
-	if e := r.cache.lookup(cells, hash); e != nil {
-		r.stats.selHits.Add(1)
-		r.stats.lastHit.Store(true)
-		r.stats.lastUnion.Store(int64(len(cells)))
-		if h := r.stats.selObs.Load(); h != nil {
-			h.Observe(float64(e.targets))
-		}
-		return e, true
-	}
-	r.stats.selMisses.Add(1)
-	r.stats.lastHit.Store(false)
-	r.stats.lastUnion.Store(int64(len(cells)))
-	tgts := sb.targets[:0]
-	for _, c := range cells {
-		tgts = append(tgts, r.grid.CellNodes(int(c))...)
-	}
-	distinct := len(tgts)
-	tgts = append(tgts, must...)
-	sb.targets = tgts
-	e := &selEntry{sig: append([]int32(nil), cells...), hash: hash}
-	if r.auto && distinct > int(RestrictedAutoFraction*float64(r.g.NumNodes())) {
-		e.full = true
-		e.targets = distinct
-		e.bytes = 4*len(e.sig) + selEntryOverhead
-	} else {
-		e.sel = r.tb.Select(tgts, nil)
-		e.targets = e.sel.Targets()
-		e.bytes = e.sel.MemoryBytes() + 4*len(e.sig) + selEntryOverhead
-	}
-	if h := r.stats.selObs.Load(); h != nil {
-		h.Observe(float64(e.targets))
-	}
-	return r.cache.insert(e), false
-}
-
-// insertCellSorted inserts c into the ascending slice cells unless
-// already present, in place (cells must have spare capacity or grow).
-func insertCellSorted(cells []int32, c int32) []int32 {
-	lo, hi := 0, len(cells)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cells[mid] < c {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(cells) && cells[lo] == c {
-		return cells
-	}
-	cells = append(cells, 0)
-	copy(cells[lo+1:], cells[lo:])
-	cells[lo] = c
-	return cells
 }
 
 // prunedTrees is the §II-B elliptic source: a bidirectional probe finds

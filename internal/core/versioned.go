@@ -71,6 +71,8 @@ type view struct {
 	// customized — a weights-only triangle relaxation on the frozen
 	// contraction — instead of contracted from scratch.
 	hier *ch.Runtime
+	// sels is the version's matrix target-selection state (TreeCH only).
+	sels *selections
 	// pruned is the undecorated elliptic source (when the backend uses
 	// one), kept so the next version can share its minimum-speed scan.
 	pruned *prunedTrees
@@ -86,7 +88,7 @@ type provider struct {
 	g       *graph.Graph
 	src     weights.Source
 	backend TreeBackend
-	hkind   HierarchyKind // basic or perfect customization behind the CH backends
+	hkind   HierarchyKind // basic or perfect customization behind TreeCH
 	// order selects the nested-dissection pipeline of the CCH contraction
 	// (geometric or flow-refined separators). Baked into the shared
 	// preprocessing at first build.
@@ -94,23 +96,19 @@ type provider struct {
 	// query selects the CCH point-to-point engine (elimination-tree
 	// ascents by default). Carried into the hierarchy's customize hook,
 	// so every later re-customization inherits it.
-	query QueryEngine
-	// customizeWorkers bounds CCH customization's per-level fan-out
-	// (0: GOMAXPROCS). Carried into the hierarchy's customize hook, so
-	// every later re-customization inherits it.
-	customizeWorkers int
-	pruned           bool    // elliptic pruning (ignored on hierarchy backends)
-	upperBound       float64 // pruning budget
-	needTrees        bool    // planners without a tree seam skip tree state
+	query      QueryEngine
+	pruned     bool    // elliptic pruning (ignored on TreeCH)
+	upperBound float64 // pruning budget
+	needTrees  bool    // planners without a tree seam skip tree state
 	// wrap optionally decorates each version's tree source (the counting
 	// instrumentation of PrunedPlateaus).
 	wrap func(TreeSource) TreeSource
-	// selCacheBytes is the per-version selection-cache byte budget of the
-	// restricted backends (0: DefaultSelectionCacheBytes).
+	// selCacheBytes is the per-version selection-cache byte budget
+	// (selectionCacheBytes; tests shrink it to drive eviction).
 	selCacheBytes int
 	// grid is the spatial quantization shared by every weight version's
-	// restricted source — geometry only, so it never goes stale. Nil off
-	// the restricted backends.
+	// selections — geometry only, so it never goes stale. Nil off the
+	// hierarchy backend.
 	grid *spatial.Index
 
 	cur      atomic.Pointer[view]
@@ -119,8 +117,8 @@ type provider struct {
 	// lastCustomize is the wall time (ns) of the most recent hierarchy
 	// build or customization — the per-swap latency the server logs.
 	lastCustomize atomic.Int64
-	// selStats is the restricted-sweep observability shared across weight
-	// versions (nil off the restricted backends).
+	// selStats is the selection observability shared across weight
+	// versions (nil off the hierarchy backend).
 	selStats *selectionStats
 	// custObs, when set, receives the wall-clock seconds of every
 	// hierarchy build/customization (the per-planner histogram installed
@@ -148,7 +146,7 @@ type provider struct {
 // newProvider builds the resolver and synchronously installs the view of
 // the source's current snapshot, so construction keeps its pre-refactor
 // meaning: a TreeCH planner leaves its constructor with a ready hierarchy.
-// The backend/hierarchy/order/worker/bound/cache knobs come from opts; a
+// The backend/hierarchy/order/query/bound knobs come from opts; a
 // nil src pins the graph's own base weights (note the Commercial planner
 // passes its private metric here, not opts.Weights).
 func newProvider(g *graph.Graph, src weights.Source, needTrees, pruned bool, wrap func(TreeSource) TreeSource, opts Options) *provider {
@@ -156,20 +154,19 @@ func newProvider(g *graph.Graph, src weights.Source, needTrees, pruned bool, wra
 		src = weights.Pin(g.BaseWeights())
 	}
 	p := &provider{
-		g:                g,
-		src:              src,
-		backend:          opts.TreeBackend,
-		hkind:            opts.Hierarchy,
-		order:            opts.Order,
-		query:            opts.Query,
-		customizeWorkers: opts.CustomizeWorkers,
-		pruned:           pruned,
-		upperBound:       opts.UpperBound,
-		needTrees:        needTrees,
-		wrap:             wrap,
-		selCacheBytes:    opts.SelectionCacheBytes,
+		g:             g,
+		src:           src,
+		backend:       opts.TreeBackend,
+		hkind:         opts.Hierarchy,
+		order:         opts.Order,
+		query:         opts.Query,
+		pruned:        pruned,
+		upperBound:    opts.UpperBound,
+		needTrees:     needTrees,
+		wrap:          wrap,
+		selCacheBytes: selectionCacheBytes,
 	}
-	if needTrees && (opts.TreeBackend == TreeCHRestricted || opts.TreeBackend == TreeCHAuto) {
+	if needTrees && opts.TreeBackend.usesHierarchy() {
 		p.selStats = &selectionStats{}
 		p.grid = spatial.NewIndex(g, 0)
 	}
@@ -252,21 +249,14 @@ func (p *provider) hierarchyStatus() HierarchyStatus {
 	st.ElimTruncated = accT + qs.Truncated
 	st.ElimAscentNodes = accA + qs.AscentNodes
 	st.LastAscent = qs.LastAscent
-	if p.selStats != nil {
-		st.LastSelection = int(p.selStats.lastSelection.Load())
-		st.LastRestricted = p.selStats.lastRestricted.Load()
-		st.LastSweep = time.Duration(p.selStats.lastSweepNS.Load())
-		st.SelectionHits = p.selStats.selHits.Load()
-		st.SelectionMisses = p.selStats.selMisses.Load()
-		st.SelectionEvictions = p.selStats.selEvictions.Load()
-		st.LastUnionCells = int(p.selStats.lastUnion.Load())
-		st.LastHit = p.selStats.lastHit.Load()
-	}
+	st.SelectionHits = p.selStats.selHits.Load()
+	st.SelectionMisses = p.selStats.selMisses.Load()
+	st.SelectionEvictions = p.selStats.selEvictions.Load()
 	return st
 }
 
 // setMetrics sinks the provider-relevant observers of a bundle: the
-// planner's customization histogram and, on restricted backends, the
+// planner's customization histogram and, on the hierarchy backend, the
 // selection-size histogram. A nil bundle clears both.
 func (p *provider) setMetrics(cust, sel *metrics.Histogram) {
 	p.custObs.Store(cust)
@@ -347,26 +337,20 @@ func (p *provider) buildView(snap *weights.Snapshot, prev *view) *view {
 		start := time.Now()
 		if prev != nil && prev.hier != nil {
 			// The customize hook closes over the original Config, so the
-			// perfect/worker choices survive every re-customization.
+			// perfect/query choices survive every re-customization.
 			v.hier = prev.hier.Customize(w)
 		} else {
 			v.hier = cch.BuildWith(p.g, w, cch.Config{
 				Order:      cch.OrderConfig{Kind: p.order},
-				Workers:    p.customizeWorkers,
 				Perfect:    p.hkind == HierarchyCCHPerfect,
 				BidirQuery: p.query == QueryBidij,
 			})
 		}
 		tb := v.hier.NewTreeBuilder()
-		if p.backend == TreeCH {
-			v.trees = chTrees{tb: tb}
-		} else {
-			// A fresh restricted source per version: its selection cache
-			// must never survive a weight swap (the selections index the
-			// old tree builder's arcs). The spatial grid is geometry-only
-			// and shared across versions.
-			v.trees = newRestrictedTrees(p.g, v.hier, tb, w, p.upperBound, p.backend == TreeCHAuto, p.selStats, p.grid, p.selCacheBytes)
-		}
+		v.trees = chTrees{tb: tb}
+		// Fresh selections per version: a cached selection indexes this
+		// tree builder's arcs and must never survive a weight swap.
+		v.sels = newSelections(p.g, tb, p.grid, p.selStats, p.selCacheBytes)
 		elapsed := time.Since(start)
 		p.lastCustomize.Store(int64(elapsed))
 		if h := p.custObs.Load(); h != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -16,13 +17,15 @@ import (
 // swap. The provider now folds the outgoing runtime's counters into its
 // own accumulators at swap time; this test publishes mid-query-stream
 // across ≥3 swaps and asserts the reported counters only ever grow and
-// account for every query issued.
+// account for every query issued. No serving path issues point-to-point
+// hierarchy queries, so the tests issue Dist on the provider's serving
+// runtime directly.
 func TestQueryStatsMonotoneAcrossPublishes(t *testing.T) {
 	g := testCity(t)
 	st := weights.NewStore(g.BaseWeights())
 	pl := NewPlateaus(g, Options{
 		Weights:     st,
-		TreeBackend: TreeCHRestricted,
+		TreeBackend: TreeCH,
 		Hierarchy:   HierarchyCCH,
 		Query:       QueryElimTree,
 	})
@@ -32,8 +35,8 @@ func TestQueryStatsMonotoneAcrossPublishes(t *testing.T) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			p := pairs[i%len(pairs)]
-			if _, err := pl.Alternatives(graph.NodeID(p[0]), graph.NodeID(p[1])); err != nil {
-				t.Fatalf("query %v: %v", p, err)
+			if d := servingDist(pl, p); math.IsInf(d, 1) {
+				t.Fatalf("query %v: unreachable", p)
 			}
 		}
 	}
@@ -65,10 +68,10 @@ func TestQueryStatsMonotoneAcrossPublishes(t *testing.T) {
 		}
 		prev = cur
 	}
-	// Every query ran ≥1 elimination-tree distance computation, and none
+	// Every query ran one elimination-tree distance computation, and none
 	// may have been dropped by the folds: with 5 pairs queried before the
 	// first swap and after each of 4 swaps, the final count must cover at
-	// least those 25 planner calls.
+	// least those 25 calls.
 	if prev.ElimQueries < uint64(len(pairs)*(swaps+1)) {
 		t.Fatalf("final ElimQueries = %d, want ≥ %d (folds dropped queries)", prev.ElimQueries, len(pairs)*(swaps+1))
 	}
@@ -83,7 +86,7 @@ func TestQueryStatsMonotoneUnderRacingSwaps(t *testing.T) {
 	st := weights.NewStore(g.BaseWeights())
 	pl := NewPlateaus(g, Options{
 		Weights:     st,
-		TreeBackend: TreeCHRestricted,
+		TreeBackend: TreeCH,
 		Hierarchy:   HierarchyCCH,
 		Query:       QueryElimTree,
 	})
@@ -93,9 +96,7 @@ func TestQueryStatsMonotoneUnderRacingSwaps(t *testing.T) {
 	// Seed some counted queries before the racing phase so the monotone
 	// floor is non-trivial even if the swap stream finishes first.
 	for _, p := range [][2]int{{0, 143}, {13, 130}} {
-		if _, err := pl.Alternatives(graph.NodeID(p[0]), graph.NodeID(p[1])); err != nil {
-			t.Fatal(err)
-		}
+		servingDist(pl, p)
 	}
 	floor := pl.HierarchyStatus()
 	if floor.ElimQueries == 0 {
@@ -115,8 +116,7 @@ func TestQueryStatsMonotoneUnderRacingSwaps(t *testing.T) {
 				return
 			default:
 			}
-			p := pairs[i%len(pairs)]
-			pl.Alternatives(graph.NodeID(p[0]), graph.NodeID(p[1]))
+			servingDist(pl, pairs[i%len(pairs)])
 		}
 	}()
 	wg.Add(1)
@@ -147,4 +147,10 @@ func TestQueryStatsMonotoneUnderRacingSwaps(t *testing.T) {
 		}
 		last = cur
 	}
+}
+
+// servingDist issues one point-to-point query on the hierarchy currently
+// serving pl — the runtime whose counters HierarchyStatus reports.
+func servingDist(pl *Plateaus, p [2]int) float64 {
+	return pl.prov.view().hier.Dist(graph.NodeID(p[0]), graph.NodeID(p[1]))
 }

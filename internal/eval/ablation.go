@@ -55,21 +55,12 @@ func DefaultAblationConfigs(c *City) []AblationConfig {
 		{"Plateaus CCH trees (customizable)", func() core.Planner {
 			return core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCH})
 		}},
-		{"Plateaus RPHAST trees (§II-B)", func() core.Planner {
-			return core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCHRestricted})
-		}},
-		{"Plateaus RPHAST auto cutover", func() core.Planner {
-			return core.NewPlateaus(g, core.Options{TreeBackend: core.TreeCHAuto})
-		}},
 		{"GMaps (pruned trees, default)", func() core.Planner { return core.NewCommercial(g, c.Traffic, core.Options{}) }},
 		{"GMaps full trees", func() core.Planner {
 			return core.NewCommercial(g, c.Traffic, core.Options{DisablePrunedTrees: true})
 		}},
 		{"GMaps CCH trees (customizable)", func() core.Planner {
 			return core.NewCommercial(g, c.Traffic, core.Options{TreeBackend: core.TreeCH})
-		}},
-		{"GMaps RPHAST trees (restricted)", func() core.Planner {
-			return core.NewCommercial(g, c.Traffic, core.Options{TreeBackend: core.TreeCHRestricted})
 		}},
 		{"Dissimilarity (paper, θ 0.5)", func() core.Planner { return core.NewDissimilarity(g, core.Options{}) }},
 		{"Dissimilarity θ 0.3", func() core.Planner { return core.NewDissimilarity(g, core.Options{Theta: 0.3}) }},

@@ -19,7 +19,7 @@ func TestCityOneCustomizationPerPublish(t *testing.T) {
 	p := citygen.Copenhagen()
 	p.Rows, p.Cols = 16, 16
 	p.Motorway.Present = false
-	c, err := NewCityOpts(p, 5, core.Options{TreeBackend: core.TreeCHAuto})
+	c, err := NewCityOpts(p, 5, core.Options{TreeBackend: core.TreeCH})
 	if err != nil {
 		t.Fatal(err)
 	}

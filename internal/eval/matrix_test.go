@@ -11,14 +11,15 @@ import (
 	"repro/internal/sp"
 )
 
-// smallRestrictedCity builds one small city on the restricted backend for
-// matrix-engine wiring tests.
+// smallRestrictedCity builds one small city on the hierarchy backend,
+// whose matrix engine runs restricted sweeps, for matrix-engine wiring
+// tests.
 func smallRestrictedCity(t testing.TB) *City {
 	t.Helper()
 	p := citygen.Copenhagen()
 	p.Rows, p.Cols = 16, 16
 	p.Motorway.Present = false
-	c, err := NewCityOpts(p, 5, core.Options{TreeBackend: core.TreeCHRestricted, Hierarchy: core.HierarchyCCH})
+	c, err := NewCityOpts(p, 5, core.Options{TreeBackend: core.TreeCH, Hierarchy: core.HierarchyCCH})
 	if err != nil {
 		t.Fatal(err)
 	}

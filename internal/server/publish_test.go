@@ -115,7 +115,7 @@ func TestPublishAdvancesTrafficAndBans(t *testing.T) {
 // TestRoutesVersionConsistentUnderClosureStorm: approaches B, C and D
 // plan on the public store, so every /api/routes response must report
 // one weightVersion for the three of them even while closure publishes
-// land mid-request. The city runs the demo server's ch-auto backend:
+// land mid-request. The city runs the demo server's ch backend:
 // Plateaus and Dissimilarity share a double-buffered hierarchy that
 // trails each publish until its background customization swaps, while
 // Penalty resolves the store directly — the mix the Router's
@@ -124,7 +124,7 @@ func TestRoutesVersionConsistentUnderClosureStorm(t *testing.T) {
 	p := citygen.Copenhagen()
 	p.Rows, p.Cols = 20, 20
 	p.Motorway.Present = false
-	c, err := eval.NewCityOpts(p, 7, core.Options{TreeBackend: core.TreeCHAuto})
+	c, err := eval.NewCityOpts(p, 7, core.Options{TreeBackend: core.TreeCH})
 	if err != nil {
 		t.Fatal(err)
 	}

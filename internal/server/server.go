@@ -198,12 +198,13 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown city")
 		return
 	}
-	var sp, tp geo.Point
-	if _, err := fmt.Sscanf(q.Get("s"), "%f,%f", &sp.Lat, &sp.Lon); err != nil {
+	sp, ok := parseLatLon(q.Get("s"))
+	if !ok {
 		httpError(w, http.StatusBadRequest, "bad s coordinate (want lat,lon)")
 		return
 	}
-	if _, err := fmt.Sscanf(q.Get("t"), "%f,%f", &tp.Lat, &tp.Lon); err != nil {
+	tp, ok := parseLatLon(q.Get("t"))
+	if !ok {
 		httpError(w, http.StatusBadRequest, "bad t coordinate (want lat,lon)")
 		return
 	}
@@ -450,18 +451,30 @@ func (s *Server) writeTrafficStatus(w http.ResponseWriter, name string, c *eval.
 	writeJSON(w, out)
 }
 
+// parseLatLon parses a "lat,lon" query value: exactly two decimal numbers
+// around one comma (surrounding spaces allowed), nothing else — trailing
+// input or a third component is an error, not silently dropped.
+func parseLatLon(v string) (geo.Point, bool) {
+	latS, lonS, ok := strings.Cut(v, ",")
+	if !ok {
+		return geo.Point{}, false
+	}
+	lat, err1 := strconv.ParseFloat(strings.TrimSpace(latS), 64)
+	lon, err2 := strconv.ParseFloat(strings.TrimSpace(lonS), 64)
+	if err1 != nil || err2 != nil {
+		return geo.Point{}, false
+	}
+	return geo.Point{Lat: lat, Lon: lon}, true
+}
+
 // formatHierarchies renders the hierarchy observability suffix of the
 // per-query log line: hierarchy kind and last customization latency per
-// approach running on a hierarchy backend, plus — on restricted-sweep backends —
-// the last query's RPHAST selection size, whether it came out of the
-// selection cache, and the tree-pair sweep time, with the cache's
-// cumulative hit/miss/eviction counters, e.g.
-// " hier A=cch(2.1ms)[sel 214 (hit), sweep 80µs, cache 31/2/0]
-// B=cch(2.3ms)[full sweep 310µs]"; empty when no approach runs a
-// hierarchy. Runtimes on the elimination-tree query engine append a
-// "[q=elimtree asc N trunc P%]" block: the last point-to-point ascent's
+// approach running on a hierarchy backend, e.g. " hier A=cch(2.1ms)
+// B=cch(2.3ms)"; empty when no approach runs a hierarchy. Runtimes on the
+// elimination-tree query engine append a "[q=elimtree asc N trunc P%]"
+// block once point-to-point queries have run: the last ascent's
 // settled-node count and the cumulative share of ascents the incumbent
-// bound truncated early (since the last weight publish).
+// bound truncated early.
 func formatHierarchies(statuses []core.HierarchyStatus) string {
 	var sb strings.Builder
 	for i, st := range statuses {
@@ -472,15 +485,6 @@ func formatHierarchies(statuses []core.HierarchyStatus) string {
 			sb.WriteString(" hier")
 		}
 		fmt.Fprintf(&sb, " %s=%s(%s)", displayLabels[i], st.Kind, st.LastCustomize.Round(100*time.Microsecond))
-		if st.LastSweep > 0 {
-			if st.LastRestricted {
-				fmt.Fprintf(&sb, "[sel %d (%s), sweep %s, cache %d/%d/%d]",
-					st.LastSelection, hitMiss(st.LastHit), st.LastSweep.Round(10*time.Microsecond),
-					st.SelectionHits, st.SelectionMisses, st.SelectionEvictions)
-			} else {
-				fmt.Fprintf(&sb, "[full sweep %s]", st.LastSweep.Round(10*time.Microsecond))
-			}
-		}
 		if st.LastQueryEngine == "elimtree" {
 			fmt.Fprintf(&sb, "[q=%s", st.LastQueryEngine)
 			if st.ElimQueries > 0 {

@@ -150,17 +150,28 @@ func TestRoutesEndpoint(t *testing.T) {
 
 func TestRoutesEndpointErrors(t *testing.T) {
 	ts := newTestServer(t, "")
-	cases := []string{
-		"/api/routes?city=Nowhere&s=55,12&t=55.1,12.1",
-		"/api/routes?city=Copenhagen&s=bogus&t=55.1,12.1",
-		"/api/routes?city=Copenhagen&s=55.67,12.56&t=junk",
-		"/api/routes?city=Copenhagen&s=999,12&t=55.1,12.1",
-		"/api/routes?city=Copenhagen&s=55.676,12.568&t=55.676,12.568", // same vertex
+	bb := testCities(t)["Copenhagen"].Graph.BBox()
+	// A far corner of the network: with it as t, a malformed s is the
+	// only thing wrong with the request.
+	far := fmt.Sprintf("%f,%f", bb.MaxLat, bb.MaxLon)
+	cases := []struct {
+		query string
+		want  int
+	}{
+		{"city=Nowhere&s=55,12&t=55.1,12.1", http.StatusNotFound},
+		{"city=Copenhagen&s=bogus&t=55.1,12.1", http.StatusBadRequest},
+		{"city=Copenhagen&s=55.67,12.56&t=junk", http.StatusBadRequest},
+		{"city=Copenhagen&s=999,12&t=55.1,12.1", http.StatusBadRequest},
+		{"city=Copenhagen&s=55.676,12.568&t=55.676,12.568", http.StatusBadRequest}, // same vertex
+		// Trailing input and a third component used to be dropped
+		// silently, serving a route for a coordinate never asked for.
+		{fmt.Sprintf("city=Copenhagen&s=%f,%fjunk&t=%s", bb.MinLat, bb.MinLon, far), http.StatusBadRequest},
+		{fmt.Sprintf("city=Copenhagen&s=%f,%f,5&t=%s", bb.MinLat, bb.MinLon, far), http.StatusBadRequest},
 	}
-	for _, u := range cases {
-		res := getJSON(t, ts.URL+u, nil)
-		if res.StatusCode == http.StatusOK {
-			t.Errorf("%s should fail", u)
+	for _, c := range cases {
+		res := getJSON(t, ts.URL+"/api/routes?"+c.query, nil)
+		if res.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d", c.query, res.StatusCode, c.want)
 		}
 	}
 }
@@ -239,14 +250,14 @@ func TestRatingsAccessor(t *testing.T) {
 	}
 }
 
-// restrictedTestCities builds the test city on the restricted-sweep
-// backend, so the matrix endpoint exercises the shared-selection path.
+// restrictedTestCities builds the test city on the hierarchy backend, so
+// the matrix endpoint exercises the shared-selection path.
 func restrictedTestCities(t testing.TB) map[string]*eval.City {
 	t.Helper()
 	p := citygen.Copenhagen()
 	p.Rows, p.Cols = 20, 20
 	p.Motorway.Present = false
-	c, err := eval.NewCityOpts(p, 7, core.Options{TreeBackend: core.TreeCHRestricted, Hierarchy: core.HierarchyCCH})
+	c, err := eval.NewCityOpts(p, 7, core.Options{TreeBackend: core.TreeCH, Hierarchy: core.HierarchyCCH})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,73 +168,3 @@ func (idx *Index) CellOf(p geo.Point) int { return idx.cellOf(p) }
 // CellNodes returns the vertices stored in cell c. The slice is owned by
 // the index and must not be modified.
 func (idx *Index) CellNodes(c int) []graph.NodeID { return idx.cells[c] }
-
-// cellRect returns cell c's coordinate rectangle. Border cells extend to
-// the index bounding box, so every vertex assigned to a cell (including
-// clamped boundary points) lies inside its rect up to float rounding.
-func (idx *Index) cellRect(c int) geo.BBox {
-	r, cc := c/idx.cols, c%idx.cols
-	b := geo.BBox{
-		MinLat: idx.bbox.MinLat + float64(r)*idx.cellH,
-		MinLon: idx.bbox.MinLon + float64(cc)*idx.cellW,
-	}
-	b.MaxLat = b.MinLat + idx.cellH
-	b.MaxLon = b.MinLon + idx.cellW
-	if r == idx.rows-1 && b.MaxLat < idx.bbox.MaxLat {
-		b.MaxLat = idx.bbox.MaxLat
-	}
-	if cc == idx.cols-1 && b.MaxLon < idx.bbox.MaxLon {
-		b.MaxLon = idx.bbox.MaxLon
-	}
-	return b
-}
-
-// minLBToRect lower-bounds lb.MetersLB(p, q) over all q in rect. MetersLB
-// is monotone in each absolute coordinate difference, so the minimum over
-// the rectangle is attained at p clamped into it per axis.
-func minLBToRect(lb geo.LowerBounder, p geo.Point, rect geo.BBox) float64 {
-	q := p
-	if q.Lat < rect.MinLat {
-		q.Lat = rect.MinLat
-	} else if q.Lat > rect.MaxLat {
-		q.Lat = rect.MaxLat
-	}
-	if q.Lon < rect.MinLon {
-		q.Lon = rect.MinLon
-	} else if q.Lon > rect.MaxLon {
-		q.Lon = rect.MaxLon
-	}
-	return lb.MetersLB(p, q)
-}
-
-// cellRectEps pads cell rects by this many degrees before the ellipse
-// test, absorbing the float rounding of cellOf's division against
-// cellRect's multiplication. Enlarged rects only lower the bound, so the
-// padding keeps the covering conservative.
-const cellRectEps = 1e-12
-
-// EllipseCells appends to dst (reusing its backing) the ids of every
-// non-empty cell that can contain a vertex v with
-// lb.MetersLB(s,v) + lb.MetersLB(v,t) ≤ budgetMeters — a conservative
-// cell-union covering of the elliptic region between s and t: each cell
-// is admitted on the rectangle-clamped lower bounds, so no qualifying
-// vertex is ever excluded (the union is a superset of the ellipse). Ids
-// come out in ascending row-major order, which makes the result directly
-// usable as a canonical cell signature.
-func (idx *Index) EllipseCells(s, t geo.Point, budgetMeters float64, lb geo.LowerBounder, dst []int32) []int32 {
-	dst = dst[:0]
-	for c := range idx.cells {
-		if len(idx.cells[c]) == 0 {
-			continue
-		}
-		rect := idx.cellRect(c)
-		rect.MinLat -= cellRectEps
-		rect.MinLon -= cellRectEps
-		rect.MaxLat += cellRectEps
-		rect.MaxLon += cellRectEps
-		if minLBToRect(lb, s, rect)+minLBToRect(lb, t, rect) <= budgetMeters {
-			dst = append(dst, int32(c))
-		}
-	}
-	return dst
-}

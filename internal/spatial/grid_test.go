@@ -151,36 +151,6 @@ func BenchmarkNearest(b *testing.B) {
 	}
 }
 
-// TestEllipseCellsConservative is the covering property behind selection
-// sharing: every vertex satisfying the per-node ellipse test must live in
-// a cell returned by EllipseCells, for random endpoint pairs and budgets.
-func TestEllipseCellsConservative(t *testing.T) {
-	g := randomGraph(400, 11)
-	idx := NewIndex(g, 16)
-	lb := geo.NewLowerBounder(g.BBox())
-	rng := rand.New(rand.NewSource(5))
-	for q := 0; q < 50; q++ {
-		s := g.Point(graph.NodeID(rng.Intn(g.NumNodes())))
-		tp := g.Point(graph.NodeID(rng.Intn(g.NumNodes())))
-		budget := lb.MetersLB(s, tp) * (1 + rng.Float64())
-		cells := idx.EllipseCells(s, tp, budget, lb, nil)
-		inUnion := make(map[int]bool, len(cells))
-		for i, c := range cells {
-			if i > 0 && cells[i-1] >= c {
-				t.Fatalf("query %d: cell ids not strictly ascending: %d then %d", q, cells[i-1], c)
-			}
-			inUnion[int(c)] = true
-		}
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			p := g.Point(v)
-			if lb.MetersLB(s, p)+lb.MetersLB(p, tp) <= budget && !inUnion[idx.CellOf(p)] {
-				t.Fatalf("query %d: vertex %d inside the ellipse but its cell %d is not in the union",
-					q, v, idx.CellOf(p))
-			}
-		}
-	}
-}
-
 // TestCellNodesPartition: every vertex appears in exactly one cell, and
 // CellOf agrees with the cell it was stored in.
 func TestCellNodesPartition(t *testing.T) {
